@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .paulis import (
+    CommutatorTable,
     KLocalHamiltonian,
     PauliString,
     enumerate_strings,
@@ -188,7 +189,9 @@ def sectional_curvature(
     R = (1/3 - I(3)/4) * 2 Tr([H, Delta][Delta, H]) / (Tr Delta^2 Tr H^2)
     with normalized traces.  The numerator trace equals the squared
     Frobenius norm of the commutator, so R is zero iff the flows commute,
-    and the sign of R is the sign of (1/3 - I(3)/4).
+    and the sign of R is the sign of (1/3 - I(3)/4).  The numerator is
+    computed exactly in Pauli space, from the anticommuting term pairs
+    (see ``CommutatorTable``), without forming any 2^K matrix.
     """
     _check_two_local(H, "H")
     _check_two_local(Delta, "Delta")
@@ -199,9 +202,8 @@ def sectional_curvature(
     overlap = sum(j * Delta.terms.get(p, 0.0) for p, j in H.terms.items())
     if abs(overlap) > ORTHOGONALITY_TOL * max(1.0, math.sqrt(hh * dd)):
         raise ValueError(f"Delta is not trace-orthogonal to H: Tr(H Delta) = {overlap}")
-    P = H.dense() @ Delta.dense()
-    A = P - P.conj().T  # [H, Delta], anti-Hermitian
-    num = 2.0 * float(np.sum(np.abs(A) ** 2)) / (1 << H.K)
+    table = CommutatorTable(list(H.terms), list(Delta.terms))
+    num = 2.0 * table.commutator_norm_sq(H.couplings(), Delta.couplings())
     prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
     return prefactor * num / (hh * dd)
 
@@ -239,18 +241,22 @@ class CurvatureEnsemble:
 def curvature_ensemble(
     K: int, schedule: PenaltySchedule, trials: int, seed: int
 ) -> CurvatureEnsemble:
-    """Average R and 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) over Gaussian pairs."""
+    """Average R and 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) over Gaussian pairs.
+
+    Every pair has its terms in the order of ``enumerate_strings``, so
+    one ``CommutatorTable`` serves all trials.
+    """
     if K < 4 or K % 2:
         raise ValueError(f"K must be even and >= 4, got {K}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
+    strings = enumerate_strings(K, 2, exactly_local=True)
+    table = CommutatorTable(strings, strings)
     ratios = np.empty(trials)
     for i in range(trials):
         H, D = sample_orthogonal_pair(K, seed, draw=i)
-        P = H.dense() @ D.dense()
-        A = P - P.conj().T
-        num = 2.0 * float(np.sum(np.abs(A) ** 2)) / (1 << K)
+        num = 2.0 * table.commutator_norm_sq(H.couplings(), D.couplings())
         ratios[i] = num / (H.coupling_norm_sq() * D.coupling_norm_sq())
     curvatures = prefactor * ratios
     ddof = 1 if trials > 1 else 0

@@ -1,22 +1,27 @@
-"""Dense complex linear algebra for K-qubit systems.
+"""Pauli strings and dense complex linear algebra for K-qubit systems.
 
 Pauli strings, k-local Hamiltonians with Gaussian ensembles, normalized
-traces and Hamiltonian time evolution.  Everything is a dense numpy array;
-the qubit count is capped at MAX_QUBITS = 10 (dimension 1024), which is
-plenty for desk-scale experiments.
+traces and Hamiltonian time evolution.  Each Pauli string carries its
+symplectic form: an X mask, a Z mask and the Y count (a Y sets both
+bits).  Products and commutators of Pauli sums are computed on these
+masks without any matrix; matrices, where needed, are dense numpy
+arrays.  The qubit count is capped at MAX_QUBITS = 10 (dimension 1024),
+which is plenty for desk-scale experiments.
 
 Conventions:
   * qubit 0 is the leftmost letter of a string and the most significant
-    bit of a basis-state index,
+    bit of a basis-state index and of the X and Z masks,
   * the module-wide trace is the normalized trace Tr(1) = 1, under which
     distinct nontrivial Pauli strings are orthonormal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +40,15 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True, order=True)
 class PauliString:
-    """A word over {I, X, Y, Z}, one letter per qubit."""
+    """A word over {I, X, Y, Z}, one letter per qubit.
+
+    ``x`` has a bit set for every X or Y letter and ``z`` for every Y or Z
+    letter, qubit 0 as the most significant bit.
+    """
 
     letters: str
+    x: int = field(init=False, repr=False, compare=False)
+    z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.letters:
@@ -47,6 +58,12 @@ class PauliString:
             raise ValueError(f"invalid Pauli letters {sorted(bad)!r}")
         if len(self.letters) > MAX_QUBITS:
             raise ValueError(f"more than {MAX_QUBITS} qubits")
+        x = z = 0
+        for ch in self.letters:
+            x = (x << 1) | (ch in "XY")
+            z = (z << 1) | (ch in "YZ")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
 
     @property
     def num_qubits(self) -> int:
@@ -55,7 +72,12 @@ class PauliString:
     @property
     def weight(self) -> int:
         """Number of non-identity single-qubit factors."""
-        return sum(ch != "I" for ch in self.letters)
+        return (self.x | self.z).bit_count()
+
+    @property
+    def num_y(self) -> int:
+        """Number of Y factors."""
+        return (self.x & self.z).bit_count()
 
     def __str__(self) -> str:
         return self.letters
@@ -85,6 +107,11 @@ def enumerate_strings(K: int, k: int, exactly_local: bool = False) -> list[Pauli
         raise ValueError(f"need 1 <= k <= K, got k={k}, K={K}")
     if K > MAX_QUBITS:
         raise ValueError(f"K={K} exceeds the cap of {MAX_QUBITS} qubits")
+    return list(_strings(K, k, bool(exactly_local)))
+
+
+@functools.cache
+def _strings(K: int, k: int, exactly_local: bool) -> tuple[PauliString, ...]:
     weights = [k] if exactly_local else range(1, k + 1)
     out = []
     for w in weights:
@@ -94,7 +121,7 @@ def enumerate_strings(K: int, k: int, exactly_local: bool = False) -> list[Pauli
                 for q, ch in zip(pos, letters):
                     word[q] = ch
                 out.append(PauliString("".join(word)))
-    return out
+    return tuple(out)
 
 
 def single_qubit_strings(K: int) -> list[PauliString]:
@@ -150,28 +177,76 @@ class KLocalHamiltonian:
     def dense(self) -> np.ndarray:
         """Assemble the dense matrix.
 
-        Each Pauli string is a signed permutation: letters in {X, Y} flip
-        a bit of the column index, letters in {Y, Z} contribute (-1)^bit,
-        and each Y carries a global factor i.  Assembly is O(dim) per term.
+        Each Pauli string is a signed permutation: its X mask flips bits
+        of the column index, its Z mask contributes (-1)^bit, and each Y
+        carries a global factor i.  Assembly is O(dim) per term.
         """
         dim = self.dim
         cols = np.arange(dim)
         H = np.zeros((dim, dim), dtype=complex)
         for p, J in self.terms.items():
-            mask_x = 0
-            mask_zy = 0
-            n_y = 0
-            for q, ch in enumerate(p.letters):
-                bit = 1 << (self.K - 1 - q)
-                if ch in "XY":
-                    mask_x |= bit
-                if ch in "YZ":
-                    mask_zy |= bit
-                if ch == "Y":
-                    n_y += 1
-            phase = (1j) ** n_y * (-1.0) ** np.bitwise_count(cols & mask_zy)
-            H[cols ^ mask_x, cols] += J * phase
+            phase = (1j) ** p.num_y * (-1.0) ** np.bitwise_count(cols & p.z)
+            H[cols ^ p.x, cols] += J * phase
         return H
+
+
+def _symplectic(strings: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X masks, Z masks and Y counts of ``strings`` as int64 arrays."""
+    x = np.array([p.x for p in strings], dtype=np.int64)
+    z = np.array([p.z for p in strings], dtype=np.int64)
+    return x, z, np.bitwise_count(x & z).astype(np.int64)
+
+
+class CommutatorTable:
+    """The anticommuting term pairs of two Pauli sums, for their commutator.
+
+    For H = sum_a h_a sigma_a over ``left`` and D = sum_b d_b sigma_b over
+    ``right``, a pair contributes to [H, D] only if its strings
+    anticommute, i.e. |x_a & z_b| + |z_a & x_b| is odd, and then as
+    2 h_a d_b sigma_a sigma_b = 2 h_a d_b i^e sigma_c with c = a xor b and
+    e = y_a + y_b - y_c + 2 |z_a & x_b| (mod 4).  The product of two
+    anticommuting Hermitian strings is anti-Hermitian, so e is 1 or 3 and
+    i^e = i s with the sign s = +1 or -1.
+
+    The table depends only on the two term lists, so one table serves
+    every pair of coupling vectors over them.  ``left``/``right`` index
+    the pairs' terms, ``sign`` holds s and ``product`` numbers the
+    distinct product strings c.
+    """
+
+    def __init__(self, left: Sequence[PauliString], right: Sequence[PauliString]):
+        widths = {p.num_qubits for p in (*left, *right)}
+        if len(widths) != 1:
+            raise ValueError(f"terms must all act on one qubit count, got {sorted(widths)}")
+        (K,) = widths
+        self.shape = (len(left), len(right))
+        xa, za, ya = _symplectic(left)
+        xb, zb, yb = _symplectic(right)
+        twist = np.bitwise_count(za[:, None] & xb).astype(np.int64)
+        odd = (np.bitwise_count(xa[:, None] & zb) + twist) & 1
+        a, b = self.left, self.right = np.nonzero(odd)
+        xc, zc = xa[a] ^ xb[b], za[a] ^ zb[b]
+        e = (ya[a] + yb[b] - np.bitwise_count(xc & zc) + 2 * twist[a, b]) % 4
+        self.sign = np.where(e == 1, 1.0, -1.0)
+        keys, self.product = np.unique((xc << K) | zc, return_inverse=True)
+        self.num_products = len(keys)
+
+    def __len__(self) -> int:
+        """Number of anticommuting pairs."""
+        return len(self.left)
+
+    def commutator_norm_sq(self, h: np.ndarray, d: np.ndarray) -> float:
+        """Normalized Tr([H, D]^dag [H, D]) for couplings ``h`` and ``d``.
+
+        With [H, D] = sum_c 2i S_c sigma_c, where S_c sums s h_a d_b over
+        the pairs whose product is c, the trace is sum_c 4 S_c^2.
+        """
+        h = np.asarray(h, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if (h.shape, d.shape) != ((self.shape[0],), (self.shape[1],)):
+            raise ValueError(f"coupling shapes {h.shape}, {d.shape} do not match the table {self.shape}")
+        S = np.bincount(self.product, weights=self.sign * h[self.left] * d[self.right], minlength=self.num_products)
+        return 4.0 * float(np.sum(S * S))
 
 
 def sample_klocal(

@@ -62,6 +62,15 @@ def test_scramble_csv_contract_and_determinism(tmp_path):
     assert read(out2 / "scramble.csv") != csv1
 
 
+def test_curvature_csv_determinism(tmp_path):
+    args = ["curvature", "--qubits", "6", "--trials", "20"]
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert main(args + ["--outdir", str(out1)]) == 0
+    assert main(args + ["--outdir", str(out2)]) == 0
+    assert read(out1 / "curvature.csv") == read(out2 / "curvature.csv")
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("qubits=6\ntrials=200\nmax-steps=4\n")

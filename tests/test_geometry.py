@@ -22,10 +22,13 @@ from complexitylab.geometry import (
     velocity_components,
 )
 from complexitylab.paulis import (
+    CommutatorTable,
     KLocalHamiltonian,
     PauliString,
+    enumerate_strings,
     evolve,
     normalized_trace_product,
+    pauli_matrix,
     sample_klocal,
 )
 
@@ -208,17 +211,56 @@ def test_sectional_curvature_scale_invariant():
     assert sectional_curvature(h2, d2, K2_SCHEDULE) == pytest.approx(r0, rel=1e-12)
 
 
-def test_sectional_curvature_matches_trace_oracle():
-    # independent oracle: evaluate the commutator traces with plain np.trace
-    hk, dk = sample_orthogonal_pair(4, seed=43)
-    H, D = hk.dense(), dk.dense()
+def _kron_sum(ham):
+    # independent of the symplectic masks: a sum of Kronecker products of 2x2 factors
+    return sum(j * pauli_matrix(p) for p, j in ham.terms.items())
+
+
+def _trace_oracle(hk, dk):
+    # evaluate the commutator traces with plain np.trace on Kronecker-assembled matrices
+    H, D = _kron_sum(hk), _kron_sum(dk)
     dim = H.shape[0]
-    c_hd = commutator(H, D)
-    num = 2 * np.trace(c_hd @ commutator(D, H)).real / dim
+    num = 2 * np.trace(commutator(H, D) @ commutator(D, H)).real / dim
     den = (np.trace(D @ D).real / dim) * (np.trace(H @ H).real / dim)
-    i3 = penalty(3, K2_SCHEDULE)
-    expected = (1.0 / 3.0 - i3 / 4.0) * num / den
-    assert sectional_curvature(hk, dk, K2_SCHEDULE) == pytest.approx(expected, rel=1e-10)
+    return (1.0 / 3.0 - penalty(3, K2_SCHEDULE) / 4.0) * num / den
+
+
+@pytest.mark.parametrize("K", [3, 4, 6])
+def test_sectional_curvature_matches_trace_oracle(K):
+    hk, dk = sample_orthogonal_pair(K, seed=43)
+    assert sectional_curvature(hk, dk, K2_SCHEDULE) == pytest.approx(_trace_oracle(hk, dk), rel=1e-12)
+
+
+def test_sectional_curvature_matches_trace_oracle_on_distinct_terms():
+    # different term sets; the anticommuting products include Y.Y, X.Y and Z.Y
+    # letters, and XY.YY, XZ.YZ and YX.XX all land on ZII, so their phases interfere
+    h = {"XYI": 0.7, "XZI": -0.4, "YXI": 1.3, "ZIY": 0.25, "IYX": -0.8}
+    d = {"YYI": 0.9, "YZI": -1.1, "XXI": 0.6, "YIY": -0.35, "IZY": 0.45}
+    hk = KLocalHamiltonian(3, 2, {PauliString(p): j for p, j in h.items()})
+    dk = KLocalHamiltonian(3, 2, {PauliString(p): j for p, j in d.items()})
+    r = sectional_curvature(hk, dk, K2_SCHEDULE)
+    assert r < 0
+    assert r == pytest.approx(_trace_oracle(hk, dk), rel=1e-12)
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_commutator_table_counts_anticommuting_pairs(K):
+    # a 2-local string anticommutes with 12(K-2) + 4 of the N = 9 C(K,2)
+    # 2-local strings (a differing letter on exactly one shared qubit)
+    strings = enumerate_strings(K, 2, exactly_local=True)
+    n = len(strings)
+    table = CommutatorTable(strings, strings)
+    assert len(table) == n * (12 * (K - 2) + 4)
+    # the closed form of the trace-ratio oracle below is 8 * pairs / N^2
+    assert 8 * len(table) / n**2 == pytest.approx(16.0 * (12 * K - 20) / (9 * K * (K - 1)), rel=1e-14)
+
+
+def test_commutator_table_validation():
+    with pytest.raises(ValueError, match="qubit count"):
+        CommutatorTable([PauliString("XX")], [PauliString("XYZ")])
+    table = CommutatorTable([PauliString("XX")], [PauliString("ZI"), PauliString("IZ")])
+    with pytest.raises(ValueError, match="shapes"):
+        table.commutator_norm_sq(np.ones(1), np.ones(3))
 
 
 def test_sectional_curvature_validation():
@@ -259,7 +301,7 @@ def test_curvature_ensemble_validation():
         curvature_ensemble(4, K2_SCHEDULE, trials=0, seed=0)
 
 
-@pytest.mark.parametrize("K", [4, 6])
+@pytest.mark.parametrize("K", [4, 6, 8, 10])
 def test_trace_ratio_matches_anticommutation_count(K):
     # combinatorial oracle: over independent Gaussian couplings the mean of
     # 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) is 8 * (anticommuting pairs) / N^2.

@@ -38,6 +38,14 @@ def test_weight_counts_non_identity():
     assert PauliString("ZZZZ").weight == 4
 
 
+def test_symplectic_masks():
+    # qubit 0 is the most significant bit; a Y sets both bits
+    p = PauliString("XYZI")
+    assert (p.x, p.z, p.num_y) == (0b1100, 0b0110, 1)
+    assert (PauliString("III").x, PauliString("III").z) == (0, 0)
+    assert PauliString("YY").num_y == 2
+
+
 def test_invalid_letters_rejected():
     with pytest.raises(ValueError):
         PauliString("XA")
@@ -63,6 +71,16 @@ def test_enumeration_counts():
     assert len(single_qubit_strings(5)) == 15
     assert num_admissible_strings(4, 2, True) == 54
     assert num_admissible_strings(10, 2, False) == 30 + 405
+
+
+def test_enumeration_returns_a_fresh_list():
+    first = enumerate_strings(3, 2)
+    first.clear()
+    again = enumerate_strings(3, 2)
+    assert len(again) == 36
+    assert again == enumerate_strings(3, 2, exactly_local=False)
+    with pytest.raises(ValueError):
+        enumerate_strings(11, 2)
 
 
 def test_enumeration_distinct():
