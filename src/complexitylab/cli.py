@@ -6,17 +6,18 @@ identical for identical (flags, seed): floats are printed with 17
 significant digits and newline-terminated lines.
 
 ``--config FILE`` merges simple ``key=value`` lines (one per line, ``#``
-comments allowed); explicit command-line flags win.  Exit codes: 0
+comments allowed); explicit command-line flags win.  Flags, config values
+and help all come from the option table ``COMMANDS``.  Exit codes: 0
 success, 1 numeric failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -31,8 +32,12 @@ from .gates import (
 )
 from .geometry import PenaltySchedule, curvature_ensemble
 
-DEFAULT_SEED = 1729  # fixed so default runs reproduce byte-identical CSV
 OUTDIR_ENV = "COMPLEXITYLAB_OUTDIR"
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _fmt(value) -> str:
@@ -65,27 +70,22 @@ def _parse_spectrum(text: str) -> np.ndarray:
     try:
         values = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
     except ValueError as exc:
-        raise SystemExit(f"error: --spectrum: cannot parse {text!r}: {exc}")
+        _usage_error(f"--spectrum: cannot parse {text!r}: {exc}")
     if not values:
-        raise SystemExit("error: --spectrum: no energy levels given")
+        _usage_error("--spectrum: no energy levels given")
     return np.asarray(values)
 
 
 def _read_target_matrix(path: str, dim: int) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = [float(tok) for tok in line.strip().split(",")]
-            if len(vals) != 2 * dim:
-                raise SystemExit(
-                    f"error: --target: expected {2 * dim} values (re,im pairs) per row, got {len(vals)}"
-                )
-            rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
-    if len(rows) != dim:
-        raise SystemExit(f"error: --target: expected {dim} rows, got {len(rows)}")
-    return np.asarray(rows, dtype=complex)
+    try:
+        vals = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"--target: {exc}")
+    if vals.shape != (dim, 2 * dim):
+        _usage_error(f"--target: expected {dim} rows of {2 * dim} values (re,im pairs), got shape {vals.shape}")
+    target = np.empty((dim, dim), dtype=complex)
+    target.real, target.imag = vals[:, 0::2], vals[:, 1::2]
+    return target
 
 
 def _black_hole_from(opts) -> holography.BlackHoleSpec:
@@ -132,6 +132,7 @@ def _build_gateset(opts):
 
 def cmd_bfs(opts, outdir: str) -> tuple[int, dict]:
     gs = _build_gateset(opts)
+    target = _read_target_matrix(opts.target, gs.dim) if opts.target else None
     ball = sphere_growth(gs, opts.max_depth)
     rows = list(enumerate(ball.counts))
     write_csv(os.path.join(outdir, "bfs.csv"), ["depth", "count"], rows)
@@ -141,8 +142,7 @@ def cmd_bfs(opts, outdir: str) -> tuple[int, dict]:
         "reached": ball.size,
         "saturated": ball.saturated,
     }
-    if opts.target:
-        target = _read_target_matrix(opts.target, gs.dim)
+    if target is not None:
         depth = bfs_complexity(target, gs, opts.max_depth, ball=ball)
         summary["target_depth"] = "not-found" if depth is None else depth
     return 0, summary
@@ -185,7 +185,7 @@ def cmd_counting(opts, outdir: str) -> tuple[int, dict]:
 
 def cmd_tfd(opts, outdir: str) -> tuple[int, dict]:
     spectrum = _parse_spectrum(opts.spectrum)
-    state = tfd.tfd(spectrum, opts.beta if not math.isinf(opts.beta) else math.inf)
+    state = tfd.tfd(spectrum, opts.beta)
     psi = tfd.evolve_tfd(state, opts.tl, opts.tr, opts.sign)
     fidelity = abs(tfd.overlap(psi, state.vector()))
     rho_l = tfd.partial_trace(psi, side="left", dims=state.dims)
@@ -277,13 +277,138 @@ def cmd_paper_suite(opts, outdir: str) -> tuple[int, dict]:
     return (1 if failed else 0), summary
 
 
+# --- option table -----------------------------------------------------------
+
+
+class Option(NamedTuple):
+    """One flag: its value type, builtin default (None: unset), help line
+    and allowed values.  A flag and a config line are both checked through
+    ``type`` and ``choices``."""
+
+    flag: str
+    type: Callable[[str], object]
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, one-line help, --help description and options."""
+
+    handler: Callable[[argparse.Namespace, str], tuple[int, dict]]
+    help: str
+    description: str
+    options: tuple[Option, ...] = ()
+
+
+def _black_hole_options(mu: float) -> tuple[Option, ...]:
+    return (
+        Option("--dim", int, 4, "bulk dimension d >= 4"),
+        Option("--mu", float, mu, "mass parameter"),
+        Option("--mass", float, None, "mass M (overrides --mu)"),
+        Option("--lads", float, 1.0, "AdS radius"),
+        Option("--G", float, 1.0, "Newton constant"),
+    )
+
+
+# Settable by flag or config line, after every command's own options.
+_COMMON = (
+    Option("--seed", int, 1729, "RNG seed"),  # fixed so default runs reproduce byte-identical CSV
+    Option("--outdir", str, ".", f"output directory, ${OUTDIR_ENV} if set"),
+)
+_CONFIG = Option("--config", str, None, "key=value file merged under the flags")
+
+COMMANDS = {
+    "scramble": Command(
+        cmd_scramble, "Monte-Carlo epidemic growth of a one-qubit perturbation",
+        "Random pairings spread a one-qubit perturbation; the mean size "
+        "follows s(tau)/K = e^(tau-ln K)/(1+e^(tau-ln K)) and the precursor "
+        "complexity follows K ln(1+e^(tau-ln K)).  The logistic column holds "
+        "K times the logistic fraction so it is directly comparable to mc_mean.",
+        (
+            Option("--qubits", int, 10, "even qubit count K"),
+            Option("--max-steps", int, 12, "circuit depth to simulate"),
+            Option("--trials", int, 20000, "Monte-Carlo trials"),
+        ),
+    ),
+    "bfs": Command(
+        cmd_bfs, "breadth-first gate complexity over an inverse-closed gate set",
+        "Counts distinct unitaries first reached at each word length; "
+        "with --target reports its exact gate complexity (the shortest word).",
+        (
+            Option("--gateset", str, "clifford2", "gate set", ("cnot", "clifford2", "random")),
+            Option("--max-depth", int, 12, "BFS depth cap"),
+            Option("--epsilon", float, 1e-6, "dedup resolution"),
+            Option("--pairs", int, 4, "Haar gate pairs for --gateset random"),
+            Option("--target", str, None, "CSV file of the target matrix, rows of re,im pairs"),
+        ),
+    ),
+    "curvature": Command(
+        cmd_curvature, "sectional curvature ensemble of the penalized metric",
+        "Averages R = (1/3 - I(3)/4) * 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) "
+        "over Gaussian 2-local pairs; negative for I(3) > 4/3 and the raw trace "
+        "ratio scales like 1/K.",
+        (
+            Option("--qubits", int, 8, "even qubit count K >= 4"),
+            Option("--penalty-c", float, 1.0, "penalty prefactor c"),
+            Option("--penalty-k", int, 2, "locality threshold k"),
+            Option("--trials", int, 100, "ensemble size"),
+        ),
+    ),
+    "counting": Command(
+        cmd_counting, "log-space counting report",
+        "Group volume, eps-ball volume, unitary count (2^K/eps^2)^(4^K/2), "
+        "pairing branching factor, maximum complexity 4^K(1/2+|ln eps|/ln K) and "
+        "recurrence magnitudes, all as natural logs.",
+        (
+            Option("--qubits", int, 4, "even qubit count K"),
+            Option("--epsilon", float, 0.01, "resolution in (0,1)"),
+        ),
+    ),
+    "tfd": Command(
+        cmd_tfd, "thermofield double: evolution, entropies, correlators",
+        "Builds sum_i e^(-beta E_i/2)/sqrt(Z) |i>|i>, applies the phases "
+        "e^(-i E_i (tl -+ tr)), and reports fidelity, reduced entropies and "
+        "two-sided correlators; the difference Hamiltonian leaves the state "
+        "invariant at tl = tr, the sum does not.",
+        (
+            Option("--beta", float, 1.0, "inverse temperature >= 0"),
+            Option("--spectrum", str, "0,1", "comma-separated energies or a file"),
+            Option("--tl", float, 0.0, "left boundary time"),
+            Option("--tr", float, 0.0, "right boundary time"),
+            Option("--sign", str, "minus", "Hamiltonian combination", ("minus", "plus")),
+        ),
+    ),
+    "wormhole": Command(
+        cmd_wormhole, "interior maximal-volume slices of the eternal AdS black hole",
+        "For f(r) = 1 - mu/r^(d-3) + r^2/l^2, integrates the interior "
+        "volume and boundary anchor time of maximal slices on a geometric grid of "
+        "conserved energies approaching E_c; the volume grows linearly in t_l + t_r "
+        "with slope Omega_(d-2) r_m^(d-2) sqrt|f(r_m)|.",
+        _black_hole_options(mu=100.0) + (
+            Option("--egrid-points", int, 16, "energy grid size"),
+            Option("--eta-max", float, 0.1, "largest 1 - E/E_c"),
+            Option("--eta-min", float, 1e-5, "smallest 1 - E/E_c"),
+        ),
+    ),
+    "wdw": Command(
+        cmd_wdw, "late-time action growth of the Wheeler-DeWitt patch",
+        "Bulk term -r_h^(d-1) Omega/(8 pi G l^2) plus the surface bracket "
+        "evaluated at the horizon; the total equals 2M exactly and saturates the "
+        "growth bound 2M/(pi hbar).",
+        _black_hole_options(mu=1.0) + (Option("--hbar", float, 1.0, "hbar for the bound"),),
+    ),
+    "paper-suite": Command(
+        cmd_paper_suite, "run every acceptance check, one PASS/FAIL line each",
+        "Runs the full acceptance suite (action-rate identity, wormhole "
+        "growth, high-temperature volume rate, epidemic vs logistic, curvature "
+        "ensemble, Loschmidt orders, geodesic residual, gate metric axioms, "
+        "thermofield-double suite, counting estimates).  Exit 0 iff all pass.",
+    ),
+}
+
+
 # --- argument plumbing ------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
-    sub.add_argument("--outdir", type=str, default=None, help=f"output directory (default ., or ${OUTDIR_ENV})")
-    sub.add_argument("--config", type=str, default=None, help="key=value file merged under the flags")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,145 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
         "and AdS-Schwarzschild wormhole growth.",
     )
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = subs.add_parser(
-        "scramble",
-        help="Monte-Carlo epidemic growth of a one-qubit perturbation",
-        description="Random pairings spread a one-qubit perturbation; the mean size "
-        "follows s(tau)/K = e^(tau-ln K)/(1+e^(tau-ln K)) and the precursor "
-        "complexity follows K ln(1+e^(tau-ln K)).  The logistic column holds "
-        "K times the logistic fraction so it is directly comparable to mc_mean.",
-    )
-    p.add_argument("--qubits", type=int, default=None, help="even qubit count K (default 10)")
-    p.add_argument("--max-steps", type=int, default=None, help="circuit depth to simulate (default 12)")
-    p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials (default 20000)")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "bfs",
-        help="breadth-first gate complexity over an inverse-closed gate set",
-        description="Counts distinct unitaries first reached at each word length; "
-        "with --target reports its exact gate complexity (the shortest word).",
-    )
-    p.add_argument("--gateset", choices=("cnot", "clifford2", "random"), default=None, help="gate set (default clifford2)")
-    p.add_argument("--max-depth", type=int, default=None, help="BFS depth cap (default 12)")
-    p.add_argument("--epsilon", type=float, default=None, help="dedup resolution (default 1e-6)")
-    p.add_argument("--pairs", type=int, default=None, help="Haar gate pairs for --gateset random (default 4)")
-    p.add_argument("--target", type=str, default=None, help="CSV file of the target matrix, rows of re,im pairs")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "curvature",
-        help="sectional curvature ensemble of the penalized metric",
-        description="Averages R = (1/3 - I(3)/4) * 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) "
-        "over Gaussian 2-local pairs; negative for I(3) > 4/3 and the raw trace "
-        "ratio scales like 1/K.",
-    )
-    p.add_argument("--qubits", type=int, default=None, help="even qubit count K >= 4 (default 8)")
-    p.add_argument("--penalty-c", type=float, default=None, help="penalty prefactor c (default 1.0)")
-    p.add_argument("--penalty-k", type=int, default=None, help="locality threshold k (default 2)")
-    p.add_argument("--trials", type=int, default=None, help="ensemble size (default 100)")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "counting",
-        help="log-space counting report",
-        description="Group volume, eps-ball volume, unitary count (2^K/eps^2)^(4^K/2), "
-        "pairing branching factor, maximum complexity 4^K(1/2+|ln eps|/ln K) and "
-        "recurrence magnitudes, all as natural logs.",
-    )
-    p.add_argument("--qubits", type=int, default=None, help="even qubit count K (default 4)")
-    p.add_argument("--epsilon", type=float, default=None, help="resolution in (0,1) (default 0.01)")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "tfd",
-        help="thermofield double: evolution, entropies, correlators",
-        description="Builds sum_i e^(-beta E_i/2)/sqrt(Z) |i>|i>, applies the phases "
-        "e^(-i E_i (tl -+ tr)), and reports fidelity, reduced entropies and "
-        "two-sided correlators; the difference Hamiltonian leaves the state "
-        "invariant at tl = tr, the sum does not.",
-    )
-    p.add_argument("--beta", type=float, default=None, help="inverse temperature >= 0 (default 1.0)")
-    p.add_argument("--spectrum", type=str, default=None, help="comma-separated energies or a file (default 0,1)")
-    p.add_argument("--tl", type=float, default=None, help="left boundary time (default 0)")
-    p.add_argument("--tr", type=float, default=None, help="right boundary time (default 0)")
-    p.add_argument("--sign", choices=("minus", "plus"), default=None, help="Hamiltonian combination (default minus)")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "wormhole",
-        help="interior maximal-volume slices of the eternal AdS black hole",
-        description="For f(r) = 1 - mu/r^(d-3) + r^2/l^2, integrates the interior "
-        "volume and boundary anchor time of maximal slices on a geometric grid of "
-        "conserved energies approaching E_c; the volume grows linearly in t_l + t_r "
-        "with slope Omega_(d-2) r_m^(d-2) sqrt|f(r_m)|.",
-    )
-    p.add_argument("--dim", type=int, default=None, help="bulk dimension d >= 4 (default 4)")
-    p.add_argument("--mu", type=float, default=None, help="mass parameter (default 100)")
-    p.add_argument("--mass", type=float, default=None, help="mass M (overrides --mu)")
-    p.add_argument("--lads", type=float, default=None, help="AdS radius (default 1)")
-    p.add_argument("--G", type=float, default=None, help="Newton constant (default 1)")
-    p.add_argument("--egrid-points", type=int, default=None, help="energy grid size (default 16)")
-    p.add_argument("--eta-max", type=float, default=None, help="largest 1 - E/E_c (default 0.1)")
-    p.add_argument("--eta-min", type=float, default=None, help="smallest 1 - E/E_c (default 1e-5)")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "wdw",
-        help="late-time action growth of the Wheeler-DeWitt patch",
-        description="Bulk term -r_h^(d-1) Omega/(8 pi G l^2) plus the surface bracket "
-        "evaluated at the horizon; the total equals 2M exactly and saturates the "
-        "growth bound 2M/(pi hbar).",
-    )
-    p.add_argument("--dim", type=int, default=None, help="bulk dimension d >= 4 (default 4)")
-    p.add_argument("--mu", type=float, default=None, help="mass parameter (default 1)")
-    p.add_argument("--mass", type=float, default=None, help="mass M (overrides --mu)")
-    p.add_argument("--lads", type=float, default=None, help="AdS radius (default 1)")
-    p.add_argument("--G", type=float, default=None, help="Newton constant (default 1)")
-    p.add_argument("--hbar", type=float, default=None, help="hbar for the bound (default 1)")
-    _add_common(p)
-
-    p = subs.add_parser(
-        "paper-suite",
-        help="run every acceptance check, one PASS/FAIL line each",
-        description="Runs the full acceptance suite (action-rate identity, wormhole "
-        "growth, high-temperature volume rate, epidemic vs logistic, curvature "
-        "ensemble, Loschmidt orders, geodesic residual, gate metric axioms, "
-        "thermofield-double suite, counting estimates).  Exit 0 iff all pass.",
-    )
-    _add_common(p)
-
+    for name, cmd in COMMANDS.items():
+        sub = subs.add_parser(name, help=cmd.help, description=cmd.description)
+        # Flags default to None so that config values can fill what is unset.
+        for opt in cmd.options + _COMMON + (_CONFIG,):
+            text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
+            sub.add_argument(opt.flag, type=opt.type, choices=opt.choices, default=None, help=text)
     return parser
-
-
-_DEFAULTS = {
-    "scramble": {"qubits": 10, "max_steps": 12, "trials": 20000},
-    "bfs": {"gateset": "clifford2", "max_depth": 12, "epsilon": 1e-6, "pairs": 4, "target": None},
-    "curvature": {"qubits": 8, "penalty_c": 1.0, "penalty_k": 2, "trials": 100},
-    "counting": {"qubits": 4, "epsilon": 0.01},
-    "tfd": {"beta": 1.0, "spectrum": "0,1", "tl": 0.0, "tr": 0.0, "sign": "minus"},
-    "wormhole": {"dim": 4, "mu": 100.0, "mass": None, "lads": 1.0, "G": 1.0, "egrid_points": 16, "eta_max": 0.1, "eta_min": 1e-5},
-    "wdw": {"dim": 4, "mu": 1.0, "mass": None, "lads": 1.0, "G": 1.0, "hbar": 1.0},
-    "paper-suite": {},
-}
-
-_HANDLERS = {
-    "scramble": cmd_scramble,
-    "bfs": cmd_bfs,
-    "curvature": cmd_curvature,
-    "counting": cmd_counting,
-    "tfd": cmd_tfd,
-    "wormhole": cmd_wormhole,
-    "wdw": cmd_wdw,
-    "paper-suite": cmd_paper_suite,
-}
 
 
 def _load_config(path: str) -> dict[str, str]:
     if not os.path.exists(path):
-        print(f"error: --config: no such file: {path}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"--config: no such file: {path}")
     entries = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -440,40 +438,34 @@ def _load_config(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                print(f"error: --config: line {lineno} is not key=value: {line!r}", file=sys.stderr)
-                raise SystemExit(2)
+                _usage_error(f"--config: line {lineno} is not key=value: {line!r}")
             key, value = line.split("=", 1)
             entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
 
 def _merge_options(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from builtin defaults."""
-    defaults = dict(_DEFAULTS[args.command])
-    defaults["seed"] = DEFAULT_SEED
-    defaults["outdir"] = os.environ.get(OUTDIR_ENV, ".")
+    """Fill unset flags from the config file, then from the table defaults."""
+    options = {opt.flag[2:].replace("-", "_"): opt for opt in COMMANDS[args.command].options + _COMMON}
     config = _load_config(args.config) if args.config else {}
-    for key in list(config):
-        if key not in defaults:
-            print(f"error: --config: unknown flag {key!r} for {args.command}", file=sys.stderr)
-            raise SystemExit(2)
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
+    for key in config:
+        if key not in options:
+            _usage_error(f"--config: unknown flag {key!r} for {args.command}")
+    for key, opt in options.items():
+        if getattr(args, key) is not None:
             continue
         if key in config:
-            raw = config[key]
-            caster = type(default) if default is not None else str
-            if caster is bool:
-                value = raw.lower() in ("1", "true", "yes")
-            else:
-                try:
-                    value = caster(raw)
-                except ValueError:
-                    print(f"error: --config: bad value for {key}: {raw!r}", file=sys.stderr)
-                    raise SystemExit(2)
-            setattr(args, key, value)
+            try:  # the flag's own type and choices, so a config line and a flag cannot disagree
+                value = opt.type(config[key])
+            except ValueError:
+                _usage_error(f"--config: bad value for {opt.flag}: {config[key]!r}")
+            if opt.choices is not None and value not in opt.choices:
+                _usage_error(f"--config: {opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+        elif key == "outdir":
+            value = os.environ.get(OUTDIR_ENV, opt.default)
         else:
-            setattr(args, key, default)
+            value = opt.default
+        setattr(args, key, value)
     return args
 
 
@@ -487,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     start = time.perf_counter()
     try:
-        code, summary = _HANDLERS[args.command](args, args.outdir)
+        code, summary = COMMANDS[args.command].handler(args, args.outdir)
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

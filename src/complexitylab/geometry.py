@@ -26,6 +26,7 @@ from .paulis import (
     KLocalHamiltonian,
     PauliString,
     enumerate_strings,
+    evolve,
     is_unitary,
     normalized_trace_product,
     pauli_matrix,
@@ -98,17 +99,23 @@ def velocity_components(
     return {p: normalized_trace_product(pauli_matrix(p), M).real for p in basis}
 
 
-def path_action(
-    samples: Sequence[tuple[float, TangentVector]], schedule: PenaltySchedule
+def _trapezoid(
+    samples: Sequence[tuple[float, TangentVector]], integrand: Callable[[TangentVector], float]
 ) -> float:
-    """Trapezoid quadrature of (1/2) |v|^2 over the sampled path."""
+    """Trapezoid quadrature of ``integrand(v)`` over strictly increasing sample times."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
     ts = np.array([t for t, _ in samples])
     if not np.all(np.diff(ts) > 0):
         raise ValueError("sample times must be strictly increasing")
-    vals = np.array([0.5 * metric_norm_sq(v, schedule) for _, v in samples])
-    return float(np.trapezoid(vals, ts))
+    return float(np.trapezoid(np.array([integrand(v) for _, v in samples]), ts))
+
+
+def path_action(
+    samples: Sequence[tuple[float, TangentVector]], schedule: PenaltySchedule
+) -> float:
+    """Trapezoid quadrature of (1/2) |v|^2 over the sampled path."""
+    return _trapezoid(samples, lambda v: 0.5 * metric_norm_sq(v, schedule))
 
 
 def path_length(
@@ -119,13 +126,7 @@ def path_length(
     For constant-speed paths the action is E_a t with E_a = |v|^2 / 2 and
     the length is sqrt(2 E_a) t, so action = sqrt(E_a / 2) * length.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
-    ts = np.array([t for t, _ in samples])
-    if not np.all(np.diff(ts) > 0):
-        raise ValueError("sample times must be strictly increasing")
-    vals = np.array([math.sqrt(metric_norm_sq(v, schedule)) for _, v in samples])
-    return float(np.trapezoid(vals, ts))
+    return _trapezoid(samples, lambda v: math.sqrt(metric_norm_sq(v, schedule)))
 
 
 def geodesic_residual_path(
@@ -149,9 +150,7 @@ def geodesic_residual_path(
 
 def geodesic_residual(H: KLocalHamiltonian, t: float, h: float) -> float:
     """Residual of the geodesic identity on the flow exp(-iHt)."""
-    Hm = H.dense()
-    w, v = np.linalg.eigh(Hm)
-    return geodesic_residual_path(lambda s: (v * np.exp(-1j * w * s)) @ v.conj().T, t, h)
+    return geodesic_residual_path(lambda s: evolve(H, s), t, h)
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -89,10 +89,14 @@ class TFDState:
 
     def vector(self) -> np.ndarray:
         """The full two-sided state vector, nonzero only on |i>|i>."""
-        n = self.dims[0]
-        psi = np.zeros(n * n, dtype=complex)
-        psi[np.arange(n) * (n + 1)] = self.amplitudes
-        return psi
+        return _diagonal_state(self.amplitudes)
+
+
+def _diagonal_state(amplitudes: np.ndarray) -> np.ndarray:
+    """sum_i a_i |i>|i> as a flat vector of length n^2."""
+    psi = np.zeros(len(amplitudes) ** 2, dtype=complex)
+    psi[:: len(amplitudes) + 1] = amplitudes
+    return psi
 
 
 def tfd(spectrum, beta: float) -> TFDState:
@@ -149,11 +153,7 @@ def evolve_tfd(state: TFDState, t_l: float, t_r: float, sign: str = "minus") -> 
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     energies = np.asarray(state.spectrum)
     phase_arg = t_l - t_r if sign == "minus" else t_l + t_r
-    phases = np.exp(-1j * energies * phase_arg)
-    n = state.dims[0]
-    psi = np.zeros(n * n, dtype=complex)
-    psi[np.arange(n) * (n + 1)] = state.amplitudes * phases
-    return psi
+    return _diagonal_state(state.amplitudes * np.exp(-1j * energies * phase_arg))
 
 
 def two_sided_correlator(state, O_L: np.ndarray, O_R: np.ndarray, dims=None) -> complex:

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from complexitylab.cli import main
+from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
 
 
 def read(path):
@@ -149,3 +151,95 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COMPLEXITYLAB_OUTDIR", str(tmp_path / "env_out"))
     assert main(["counting"]) == 0
     assert (tmp_path / "env_out" / "counting.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, ok",
+    [
+        (["wdw"], "mass", "2.0", True),
+        (["bfs", "--max-depth", "2"], "gateset", "bogus", False),
+        (["tfd"], "sign", "bogus", False),
+    ],
+)
+def test_config_values_are_typed_and_checked_like_flags(tmp_path, capsys, argv, key, value, ok):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    if not ok:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg), "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error: --config: " in capsys.readouterr().err
+        return
+    assert main(argv + ["--config", str(cfg), "--outdir", str(tmp_path / "cfg")]) == 0
+    assert main(argv + [f"--{key}", value, "--outdir", str(tmp_path / "flag")]) == 0
+    csv = f"{argv[0]}.csv"
+    assert read(tmp_path / "cfg" / csv) == read(tmp_path / "flag" / csv)
+
+
+BFS_CNOT = ["bfs", "--gateset", "cnot", "--max-depth", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["tfd", "--spectrum", "abc"], None),
+        (["tfd", "--spectrum", ","], None),
+        (BFS_CNOT, "1,0,0,0\n" * 4),  # 4 values per row where 8 (re,im pairs) are due
+        (BFS_CNOT, "1,0,0,0,0,0,x,0\n" * 4),
+        (BFS_CNOT, "no such file"),
+    ],
+)
+def test_bad_spectrum_or_target_exits_2(tmp_path, capsys, argv, target):
+    flag = "--spectrum"
+    if target is not None:
+        flag = "--target"
+        path = tmp_path / "target.csv"
+        if target != "no such file":
+            path.write_text(target)
+        argv = argv + [flag, str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_prints_every_table_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for opt in COMMANDS[command].options + _COMMON + (_CONFIG,):
+        assert opt.flag in text
+        if opt.default is None:
+            assert opt.help in text
+            continue
+        shown = re.search(re.escape(opt.help) + r" \(default (\S+)\)", text)
+        assert shown is not None, opt.flag
+        assert opt.type(shown.group(1)) == opt.default
+
+
+def _sample_value(opt) -> str:
+    """A valid value for ``opt`` that differs from its default."""
+    if opt.choices is not None:
+        return next(c for c in opt.choices if c != opt.default)
+    if opt.type is int:
+        return str((opt.default or 0) + 3)
+    if opt.type is float:
+        return "2.5"
+    return "elsewhere"
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_config_line_and_flag_merge_to_the_same_namespace(command, tmp_path, monkeypatch):
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    for opt in COMMANDS[command].options + _COMMON:
+        raw = _sample_value(opt)
+        cfg = tmp_path / f"{opt.flag[2:]}.cfg"
+        cfg.write_text(f"{opt.flag[2:]}={raw}\n")
+        from_flag = vars(_merge_options(build_parser().parse_args([command, opt.flag, raw])))
+        from_config = vars(_merge_options(build_parser().parse_args([command, "--config", str(cfg)])))
+        assert from_config.pop("config") == str(cfg)
+        assert from_flag.pop("config") is None
+        assert from_config == from_flag
+        assert from_flag[opt.flag[2:].replace("-", "_")] not in (None, opt.default)
