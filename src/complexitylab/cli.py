@@ -33,6 +33,10 @@ from .gates import (
 from .geometry import PenaltySchedule, curvature_ensemble
 
 OUTDIR_ENV = "COMPLEXITYLAB_OUTDIR"
+# Ball size cap of `bfs`: a free (random) set grows 7x a layer and would
+# exhaust memory by depth 8; the cap stops the default 4-pair set after
+# depth 6 (156,865 elements).
+BFS_MAX_ELEMENTS = 1_000_000
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -133,7 +137,7 @@ def _build_gateset(opts):
 def cmd_bfs(opts, outdir: str) -> tuple[int, dict]:
     gs = _build_gateset(opts)
     target = _read_target_matrix(opts.target, gs.dim) if opts.target else None
-    ball = sphere_growth(gs, opts.max_depth)
+    ball = sphere_growth(gs, opts.max_depth, BFS_MAX_ELEMENTS)
     rows = list(enumerate(ball.counts))
     write_csv(os.path.join(outdir, "bfs.csv"), ["depth", "count"], rows)
     summary = {
@@ -141,9 +145,12 @@ def cmd_bfs(opts, outdir: str) -> tuple[int, dict]:
         "gates": len(gs.gates),
         "reached": ball.size,
         "saturated": ball.saturated,
+        "truncated": ball.truncated,
     }
     if target is not None:
-        depth = bfs_complexity(target, gs, opts.max_depth, ball=ball)
+        # a truncated ball is as deep as memory allows: answer from its layers alone
+        max_depth = len(ball.counts) - 1 if ball.truncated else opts.max_depth
+        depth = bfs_complexity(target, gs, max_depth, ball=ball)
         summary["target_depth"] = "not-found" if depth is None else depth
     return 0, summary
 
@@ -334,7 +341,8 @@ COMMANDS = {
     "bfs": Command(
         cmd_bfs, "breadth-first gate complexity over an inverse-closed gate set",
         "Counts distinct unitaries first reached at each word length; "
-        "with --target reports its exact gate complexity (the shortest word).",
+        "with --target reports its exact gate complexity (the shortest word). "
+        "Growth stops past 10^6 elements and the ball is reported truncated.",
         (
             Option("--gateset", str, "clifford2", "gate set", ("cnot", "clifford2", "random")),
             Option("--max-depth", int, 12, "BFS depth cap"),

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from complexitylab import cli, gates
 from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
 
 
@@ -122,6 +123,49 @@ def test_bfs_run_with_target(tmp_path):
     lines = read(tmp_path / "bfs.csv").decode().splitlines()
     assert lines[0] == "depth,count"
     assert lines[1] == "0,1"
+
+
+def _write_target(path, U):
+    path.write_text("".join(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n" for row in U))
+
+
+def test_bfs_random_stops_at_the_element_cap(tmp_path, monkeypatch):
+    # layers 1, 8, 56, 392, 2744: the cap of 3000 falls within depth 4
+    monkeypatch.setattr(cli, "BFS_MAX_ELEMENTS", 3000)
+    searches = []
+    grow = gates._grow
+
+    def counted_grow(*args):
+        searches.append(args[1])
+        return grow(*args)
+
+    monkeypatch.setattr(gates, "_grow", counted_grow)
+    gs = gates.random_inverse_closed_gateset(2, 4, 1729)
+    g = gs.matrices()
+    for name, U, want in [("near", g[2] @ g[0], "2"), ("far", g[0] @ g[2] @ g[4] @ g[6], "not-found")]:
+        _write_target(tmp_path / f"{name}.csv", U)
+        out = tmp_path / name
+        argv = ["bfs", "--gateset", "random", "--max-depth", "5", "--target", str(tmp_path / f"{name}.csv")]
+        assert main(argv + ["--outdir", str(out)]) == 0
+        summary = read(out / "bfs_summary.txt").decode()
+        assert "reached: 457\nsaturated: False\ntruncated: True\n" in summary
+        assert f"target_depth: {want}\n" in summary
+        assert read(out / "bfs.csv") == b"depth,count\n0,1\n1,8\n2,56\n3,392\n"
+    assert searches == [5, 5]  # one capped growth a run, no search from scratch
+
+
+def test_bfs_default_run_is_the_clifford_group(tmp_path):
+    assert main(["bfs", "--outdir", str(tmp_path)]) == 0
+    layers = [1, 8, 41, 173, 539, 1269, 2278, 2997, 2688, 1313, 213]
+    assert read(tmp_path / "bfs.csv") == ("depth,count\n" + "".join(f"{d},{n}\n" for d, n in enumerate(layers))).encode()
+    summary = read(tmp_path / "bfs_summary.txt").decode()
+    assert "reached: 11520\nsaturated: True\ntruncated: False\n" in summary
+
+
+def test_paper_suite_csv_is_byte_identical_across_runs(tmp_path):
+    for name in ("a", "b"):
+        assert main(["paper-suite", "--outdir", str(tmp_path / name)]) == 0
+    assert read(tmp_path / "a" / "paper_suite.csv") == read(tmp_path / "b" / "paper_suite.csv")
 
 
 def test_tfd_run(tmp_path):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from complexitylab import gates
 from complexitylab.counting import log_num_unitaries
 from complexitylab.gates import (
     CNOT_12,
@@ -188,3 +191,141 @@ def test_depth_of_unknown_returns_none():
     ball = sphere_growth(gs, max_depth=6)
     target = np.kron(np.diag([1, 1j]), np.eye(2)).astype(complex)
     assert ball.depth_of(target) is None
+
+
+# --- the batched engine against per-matrix references ----------------------
+
+
+def _reference_members(gs, max_depth):
+    """(matrix, depth, word) of every ball member from a per-matrix loop:
+    frontier rows in order, each multiplied by every gate in turn.  A word
+    lists gate indices in the order they act."""
+    eye = np.eye(gs.dim, dtype=complex)
+    seen = {canonical_key(eye, gs.epsilon)}
+    members = [(eye, 0, [])]
+    frontier = [(eye, [])]
+    for depth in range(1, max_depth + 1):
+        new = []
+        for U, word in frontier:
+            for j, g in enumerate(gs.matrices()):
+                V = g @ U
+                key = canonical_key(V, gs.epsilon)
+                if key not in seen:
+                    seen.add(key)
+                    new.append((V, word + [j]))
+        members += [(V, depth, word) for V, word in new]
+        frontier = new
+    return members
+
+
+def _reduced_length(word):
+    """Free-group length of a word over random_inverse_closed_gateset,
+    where gate 2i+1 is the dagger of gate 2i."""
+    stack = []
+    for g in word:
+        if stack and stack[-1] == g ^ 1:
+            stack.pop()
+        else:
+            stack.append(g)
+    return len(stack)
+
+
+def _int64_grid(U, epsilon):
+    """Phase-fixed epsilon/dim grid of U as int64, written apart from gates.py."""
+    flat = np.asarray(U).ravel()
+    mags = np.abs(flat)
+    z = flat[np.flatnonzero(mags >= mags.max() - 1e-12)[0]]
+    fixed = flat * (np.conj(z) / abs(z))
+    pitch = epsilon / U.shape[0]
+    return np.concatenate([np.round(fixed.real / pitch), np.round(fixed.imag / pitch)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_engine_agrees_with_search_lookup_and_free_group_length(seed):
+    gs = random_inverse_closed_gateset(2, 4, seed)
+    ball = sphere_growth(gs, max_depth=3)
+    reference = _reference_members(gs, 3)
+    assert len(ball.members) == len(reference) == 1 + 8 + 56 + 392
+    for (U, depth), (R, ref_depth, word) in zip(ball.members, reference):
+        assert depth == ref_depth == _reduced_length(word) == len(word)
+        assert np.array_equal(U, R)
+        assert ball.depth_of(U) == depth
+        assert bfs_complexity(U, gs, 3) == depth
+
+
+def _clifford_with_hs_gateset():
+    # the Clifford generators are symmetric matrices, so multiplying on the
+    # wrong side finds the same tree; the gate H1 S1 (not symmetric) breaks that
+    gs = two_qubit_clifford_gateset()
+    hs = gs.gates[0][1] @ gs.gates[2][1]
+    return GateSet(2, gs.gates + (("h1s1", hs), ("s1dgh1", hs.conj().T)))
+
+
+@pytest.mark.parametrize("make_gateset", [two_qubit_clifford_gateset, _clifford_with_hs_gateset])
+def test_engine_member_order_matches_per_matrix_loop_across_blocks(make_gateset):
+    # depth 5 expands hundreds of depth-4 rows, so many blocks; the
+    # Clifford order is the one check_gate_metric_axioms samples members from
+    gs = make_gateset()
+    ball = sphere_growth(gs, max_depth=5)
+    reference = _reference_members(gs, 5)
+    assert ball.counts == [sum(d == depth for _, d, _ in reference) for depth in range(6)]
+    assert [d for _, d in ball.members] == [d for _, d, _ in reference]
+    assert all(np.array_equal(U, R) for (U, _), (R, _, _) in zip(ball.members, reference))
+
+
+def test_sphere_growth_truncation_mid_layer(monkeypatch):
+    gs = two_qubit_clifford_gateset()
+    monkeypatch.setattr(gates, "_BLOCK_ROWS", 4)
+    blocks = []
+    row_keys = gates._row_keys
+
+    def counted_row_keys(V, epsilon):
+        blocks.append(len(V))
+        return row_keys(V, epsilon)
+
+    monkeypatch.setattr(gates, "_row_keys", counted_row_keys)
+    ball = sphere_growth(gs, max_depth=20, max_elements=100)
+    assert ball.truncated and not ball.saturated
+    assert ball.counts == [1, 8, 41]
+    assert ball.size == 50 == len(ball.members)
+    # depth 3 expands 41 rows in 11 blocks; the cap falls within the layer
+    assert len(blocks) < 1 + 2 + 11
+    assert ball.counts == sphere_growth(gs, max_depth=len(ball.counts) - 1).counts
+
+
+_PHASES = [1, 1j, -1, -1j, np.exp(0.25j * np.pi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    kind=st.sampled_from(["haar", "clifford", "perturbed"]),
+    epsilon=st.sampled_from([1e-6, 1e-3, 1e-11]),
+    exact_phases=st.booleans(),
+)
+def test_batched_keys_equal_canonical_key(clifford_ball, seed, n, kind, epsilon, exact_phases):
+    _, ball = clifford_ball
+    rng = np.random.default_rng(seed)
+    if kind == "clifford":  # magnitude ties at 1/2 and 1/sqrt(2)
+        members = ball.members
+        base = [members[i][0] for i in rng.integers(len(members), size=n)]
+    else:
+        base = [haar_unitary(4, rng) for _ in range(n)]
+    if exact_phases:
+        phases = [_PHASES[i] for i in rng.integers(len(_PHASES), size=n)]
+    else:
+        phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=n))
+    stack = [p * U for p, U in zip(phases, base)]
+    if kind == "perturbed":  # each unitary next to a sub-resolution neighbour
+        stack += [U + 1e-3 * epsilon * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for U in stack]
+    stack = np.array(stack)
+    keys = gates._row_keys(stack, epsilon)
+    assert keys == [canonical_key(U, epsilon) for U in stack]
+    # keys are exactly the int64 grids in a narrower type: one key per grid
+    grids = [_int64_grid(U, epsilon).tobytes() for U in stack]
+    dtype = np.int32 if epsilon > 1e-9 else np.int64
+    assert [np.frombuffer(k, dtype).astype(np.int64).tobytes() for k in keys] == grids
+    for i in range(len(stack)):
+        for j in range(i):
+            assert (keys[i] == keys[j]) == (grids[i] == grids[j])
