@@ -114,7 +114,7 @@ class ComplexityBall:
     d - 1, with g the number of gates.
     """
 
-    index: dict[bytes, int]
+    index: dict[bytes, int] = field(repr=False)
     epsilon: float
     gates: np.ndarray = field(repr=False)
     sources: list[np.ndarray] = field(repr=False, default_factory=list)

@@ -15,6 +15,7 @@ through BlackHoleSpec.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,8 @@ class BlackHoleSpec:
     G: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            raise ValueError(f"need an integer bulk dimension d, got {self.d!r}")
         if self.d < 4:
             raise ValueError(f"need bulk dimension d >= 4, got {self.d}")
         if self.l_ads <= 0 or self.G <= 0:
@@ -151,6 +154,33 @@ class VolumeCurvePoint:
     boundary_time_sum: float
 
 
+def _turning_factor(spec: BlackHoleSpec, r0: float) -> tuple[float, ...]:
+    """Coefficients, highest degree first, of the polynomial g with
+    P(r0 + x) - P(r0) = x g(x), where P(r) = r^(2d-4) f(r)
+    = r^(2d-4) - mu r^(d-1) + r^(2d-2) / l^2.
+
+    Each monomial a r^n adds a C(n, k) r0^(n-k) to the x^k Taylor
+    coefficient of P about r0, so g has degree 2d-3 and is exact: no
+    difference of two nearly equal values of P is ever formed.
+    """
+    d = spec.d
+    coeffs = [0.0] * (2 * d - 2)  # x^1 .. x^(2d-2)
+    for n, a in ((2 * d - 4, 1.0), (d - 1, -spec.mu), (2 * d - 2, 1.0 / spec.l_ads**2)):
+        for k in range(1, n + 1):
+            coeffs[k - 1] += a * math.comb(n, k) * r0 ** (n - k)
+    return tuple(reversed(coeffs))
+
+
+def _integrate(name: str, fn, a: float, b: float, tol: float, points=None) -> float:
+    """quad over [a, b] at absolute and relative tolerance tol; a reported
+    failure, or an error estimate above the tolerance, raises ValueError."""
+    value, abserr, _, *failure = quad(fn, a, b, points=points, epsabs=tol, epsrel=tol, limit=500, full_output=1)
+    if failure or abserr > max(tol, tol * abs(value)):
+        reason = " ".join(failure[0].split()) if failure else "error estimate above tolerance"
+        raise ValueError(f"{name} integral did not converge: abserr {abserr:.3g}, tol {tol:.3g} ({reason})")
+    return value
+
+
 def interior_volume(
     spec: BlackHoleSpec,
     E: float,
@@ -159,17 +189,26 @@ def interior_volume(
 ) -> VolumeCurvePoint:
     """Maximal-volume slice through the interior at conserved energy E.
 
-    The turning radius is the largest root of E^2 + r^(2(d-2)) f(r)
-    between the critical radius and the horizon.  The volume integrand
-    has an inverse-square-root endpoint singularity there, removed by the
-    substitution r = r_turn + u^2.  The boundary anchor time integrates
-    dt/dr = E / (f sqrt(E^2 + r^(2(d-2)) f)) across the simple pole at the
-    horizon as a principal value: over a window symmetric about r_h the
-    subtracted pole s / (f'(r_h) (r - r_h)) integrates to zero, and the
-    remainder is regular.  Of the two geodesic branches through the
-    turning point the one reaching the boundary at positive anchor time
-    is reported, and the symmetric two-sided configuration makes
-    boundary_time_sum = 2 t_r.
+    The turning radius is the largest root of E^2 + P(r), P(r) =
+    r^(2(d-2)) f(r), between the critical radius and the horizon.  P is
+    a polynomial for integer d, so the radicand E^2 + P(r) measured from
+    the turning point factors exactly as x g(x), x = r - r_turn, with g
+    the Taylor expansion of P about r_turn divided by x (_turning_factor).
+    Near criticality g(0) = P'(r_turn) is small, and evaluating g directly
+    keeps the radicand free of the cancellation a difference of two
+    values of P would suffer.  The volume integrand has an
+    inverse-square-root endpoint singularity at the turning point; the
+    substitution r = r_turn + u^2 turns it into the smooth
+    4 r^(2(d-2)) / sqrt(g(u^2)).  The boundary anchor time integrates
+    dt/dr = E / (f sqrt(x g(x))) across the simple pole at the horizon as
+    a principal value: over a window symmetric about r_h the subtracted
+    pole s / (f'(r_h) (r - r_h)) integrates to zero, and the remainder is
+    regular.  Of the two geodesic branches through the turning point the
+    one reaching the boundary at positive anchor time is reported, and
+    the symmetric two-sided configuration makes boundary_time_sum = 2 t_r.
+
+    Every integral is checked: a quadrature that reports a failure, or
+    whose error estimate exceeds max(tol, tol |result|), raises ValueError.
     """
     r_m, _ = critical_surface(spec)
     e_c = math.sqrt(_interior_weight(spec, r_m))
@@ -183,41 +222,37 @@ def interior_volume(
     if E == 0:
         return VolumeCurvePoint(0.0, r_h, 0.0, 0.0)
 
-    two_dm2 = 2 * (spec.d - 2)
+    two_dm2, dm3, mu, l_ads = 2 * (spec.d - 2), spec.d - 3, spec.mu, spec.l_ads
 
-    def phi(r: float) -> float:
-        return E * E + r**two_dm2 * blackening(spec, r)
+    def f(r: float) -> float:
+        return 1.0 - mu / r**dm3 + (r / l_ads) ** 2
 
-    r_turn = brentq(phi, r_m, r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
-    # residual of the root solve; subtracting it keeps the radicand >= 0
-    phi_t = phi(r_turn)
+    r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), r_m, r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
+    coeffs = _turning_factor(spec, r_turn)
 
-    def radicand(r: float) -> float:
-        return phi(r) - phi_t
+    def g(x: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
 
     def vol_integrand(u: float) -> float:
-        r = r_turn + u * u
-        rad = radicand(r)
-        if rad <= 0:
-            return 0.0
-        return 4.0 * u * r**two_dm2 / math.sqrt(rad)
+        x = u * u
+        return 4.0 * (r_turn + x) ** two_dm2 / math.sqrt(g(x))
 
-    u_max = math.sqrt(r_h - r_turn)
-    volume, _ = quad(vol_integrand, 0.0, u_max, epsabs=tol, epsrel=tol, limit=500)
+    volume = _integrate("volume", vol_integrand, 0.0, math.sqrt(r_h - r_turn), tol)
 
     fp_h = blackening_derivative(spec, r_h)
     fpp_h = _blackening_second(spec, r_h)
     delta = 0.5 * min(r_h - r_turn, r_cut - r_h)
 
     def time_integrand(r: float) -> float:
-        return E / (blackening(spec, r) * math.sqrt(radicand(r)))
+        x = r - r_turn
+        return E / (f(r) * math.sqrt(x * g(x)))
 
     def time_integrand_u(u: float) -> float:
-        r = r_turn + u * u
-        rad = radicand(r)
-        if rad <= 0:
-            return 0.0
-        return 2.0 * u * E / (blackening(spec, r) * math.sqrt(rad))
+        x = u * u
+        return 2.0 * E / (f(r_turn + x) * math.sqrt(g(x)))
 
     pole_limit = -(fpp_h / (2 * fp_h**2) + r_h**two_dm2 / (2 * E * E))
 
@@ -226,9 +261,9 @@ def interior_volume(
             return pole_limit
         return time_integrand(r) - 1.0 / (fp_h * (r - r_h))
 
-    t1, _ = quad(time_integrand_u, 0.0, math.sqrt(r_h - delta - r_turn), epsabs=tol, epsrel=tol, limit=500)
-    t2, _ = quad(subtracted, r_h - delta, r_h + delta, points=[r_h], epsabs=tol, epsrel=tol, limit=500)
-    t3, _ = quad(time_integrand, r_h + delta, r_cut, epsabs=tol, epsrel=tol, limit=500)
+    t1 = _integrate("inner anchor-time", time_integrand_u, 0.0, math.sqrt(r_h - delta - r_turn), tol)
+    t2 = _integrate("horizon anchor-time", subtracted, r_h - delta, r_h + delta, tol, points=[r_h])
+    t3 = _integrate("outer anchor-time", time_integrand, r_h + delta, r_cut, tol)
     t_r = -(t1 + t2 + t3)
     return VolumeCurvePoint(E, r_turn, volume, 2.0 * t_r)
 

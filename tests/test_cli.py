@@ -1,9 +1,10 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from complexitylab import cli, gates
+from complexitylab import cli, gates, holography
 from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
 
 
@@ -189,6 +190,22 @@ def test_wormhole_run(tmp_path):
     assert len(lines) == 7
     summary = read(tmp_path / "wormhole_summary.txt").decode()
     assert "late_slope_over_V_d:" in summary
+
+
+def test_near_critical_wormhole_run_raises_no_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wormhole", "--eta-min", "1e-7", "--outdir", str(tmp_path)]) == 0
+    assert len(read(tmp_path / "wormhole.csv").decode().splitlines()) == 17
+
+
+def test_wormhole_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def failing_quad(fn, a, b, **kwargs):
+        return 0.0, 1.0, {}, "injected failure"
+
+    monkeypatch.setattr(holography, "quad", failing_quad)
+    assert main(["wormhole", "--outdir", str(tmp_path)]) == 1
+    assert "volume integral did not converge: abserr 1, tol 1e-10 (injected failure)" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

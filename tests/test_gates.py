@@ -173,6 +173,14 @@ def test_sphere_growth_truncation():
     assert ball.counts == sphere_growth(gs, max_depth=len(ball.counts) - 1).counts
 
 
+def test_ball_repr_is_short(clifford_ball):
+    _, ball = clifford_ball
+    text = repr(ball)
+    assert len(text) < 1000
+    for name in ("epsilon", "saturated", "truncated"):
+        assert f"{name}=" in text
+
+
 def test_switchback_inequality(clifford_ball):
     gs, ball = clifford_ball
     rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from complexitylab.holography import (
     BlackHoleSpec,
+    _turning_factor,
     bekenstein_entropy,
     blackening,
     critical_energy,
@@ -77,6 +79,12 @@ def test_mass_mu_round_trip():
         BlackHoleSpec(d=3, mu=1.0)
     with pytest.raises(ValueError):
         BlackHoleSpec(d=4, mu=-1.0)
+
+
+@pytest.mark.parametrize("d", [4.5, 5.0, "5", True])
+def test_spec_rejects_non_integer_dimension(d):
+    with pytest.raises(ValueError, match="integer"):
+        BlackHoleSpec(d=d, mu=1.0)
 
 
 def test_critical_surface_stationarity_and_oracle():
@@ -216,6 +224,90 @@ def test_boundary_time_against_cauchy_principal_value_oracle():
     t3, _ = quad(outside, r_h + delta, r_cut, epsabs=1e-11, epsrel=1e-11, limit=200)
     oracle_sum = -2.0 * (t1 + window + t3)
     assert p.boundary_time_sum == pytest.approx(oracle_sum, rel=1e-7)
+
+
+@pytest.mark.parametrize("d, mu, l_ads", [(4, 100.0, 1.0), (6, 1.0, 1.0), (7, 0.3, 2.5)])
+def test_turning_factor_is_the_shifted_polynomial(d, mu, l_ads):
+    # oracle: numpy's polynomial composition P(r0 + x), P(r) = r^(2d-4) f(r)
+    spec = BlackHoleSpec(d=d, mu=mu, l_ads=l_ads)
+    P = np.polynomial.Polynomial.basis(2 * d - 4) - mu * np.polynomial.Polynomial.basis(d - 1)
+    P = P + np.polynomial.Polynomial.basis(2 * d - 2) / l_ads**2
+    r0 = 0.8 * spec.r_h
+    shifted = P(np.polynomial.Polynomial([r0, 1.0])).coef
+    g = _turning_factor(spec, r0)
+    assert len(g) == 2 * d - 2
+    scale = np.max(np.abs(shifted))
+    assert np.allclose(g[::-1], shifted[1:], rtol=1e-12, atol=1e-13 * scale)
+    assert shifted[0] == pytest.approx(r0 ** (2 * d - 4) * blackening(spec, r0), rel=1e-12)
+
+
+def test_interior_volume_raises_on_failed_quadrature():
+    spec = BlackHoleSpec(d=4, mu=100.0)
+    with pytest.raises(ValueError, match=r"volume integral did not converge: abserr .*, tol 1e-300"):
+        interior_volume(spec, 0.99 * critical_energy(spec), tol=1e-300)
+
+
+def test_interior_volume_sweep_raises_no_warning():
+    # the benchmark's grid: 34 slices from eta = 1e-1 down to 1e-7 per spec
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, mu in ((4, 100.0), (5, 10.0), (6, 1.0)):
+            spec = BlackHoleSpec(d=d, mu=mu)
+            points = volume_curve(spec, eta_max=1e-1, eta_min=1e-7, points=34)
+            assert np.all(np.diff([p.interior_volume_per_sphere for p in points]) > 0)
+            assert np.all(np.diff([p.boundary_time_sum for p in points]) > 0)
+
+
+def _mpmath_slice(d, mu, E, dps=40):
+    """Volume per unit sphere and boundary_time_sum at l = 1, by tanh-sinh
+    quadrature of the unsubstituted integrands in dps-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        mu, E = mp.mpf(mu), mp.mpf(E)
+        f = lambda r: 1 - mu / r ** (d - 3) + r**2
+        phi = lambda r: E**2 + r ** (2 * d - 4) * f(r)
+        stationarity = lambda r: (d - 1) * mu - (2 * d - 4) * r ** (d - 3) - (2 * d - 2) * r ** (d - 1)
+        lo, hi = mp.mpf(10) ** -6, max(mu, mp.mpf(1))
+        r_h = mp.findroot(f, (lo, hi), solver="anderson")
+        r_m = mp.findroot(stationarity, (lo, r_h), solver="anderson")
+        r_t = mp.findroot(phi, (r_m, r_h), solver="anderson")
+        fp_h = (d - 3) * mu / r_h ** (d - 2) + 2 * r_h
+        r_cut = 1000 * max(r_h, 1)
+        delta = (r_h - r_t) / 2
+
+        def where_real(fn):
+            # nodes that crowd the turning point can round the radicand to <= 0
+            def guarded(r):
+                rad = phi(r)
+                return 0 if rad <= 0 else fn(r, rad)
+            return guarded
+
+        dvol = where_real(lambda r, rad: 2 * r ** (2 * d - 4) / mp.sqrt(rad))
+        dt = where_real(lambda r, rad: E / (f(r) * mp.sqrt(rad)))
+
+        def window(r):
+            # within 1e-25 of r_h the two terms cancel to noise at this precision
+            if abs(r - r_h) < mp.mpf(10) ** -25:
+                return 0
+            return dt(r) - 1 / (fp_h * (r - r_h))
+
+        # breakpoints resolve the narrow peak at the turning point; they must increase
+        near = [r_t + (r_h - r_t) * mp.mpf(10) ** -j for j in range(12, 0, -1)]
+        volume = mp.quad(dvol, [r_t, *near, r_h])
+        inner = mp.quad(dt, [r_t, *[x for x in near if x < r_h - delta], r_h - delta])
+        pole = mp.quad(window, [r_h - delta, r_h, r_h + delta])
+        outer = mp.quad(dt, [r_h + delta, 2 * r_h, 10 * r_h, 100 * r_h, r_cut])
+        return float(volume), float(-2 * (inner + pole + outer))
+
+
+@pytest.mark.parametrize("d, mu, eta", [(4, 100.0, 1e-7), (6, 1.0, 1e-7)])
+def test_near_critical_slice_against_mpmath(d, mu, eta):
+    spec = BlackHoleSpec(d=d, mu=mu)
+    E = critical_energy(spec) * (1 - eta)
+    volume, t_sum = _mpmath_slice(d, mu, E)
+    p = interior_volume(spec, E)
+    assert p.interior_volume_per_sphere == pytest.approx(volume, rel=1e-10)
+    assert p.boundary_time_sum == pytest.approx(t_sum, rel=1e-10)
 
 
 def test_boundary_time_insensitive_to_cut_radius():
