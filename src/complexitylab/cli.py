@@ -331,7 +331,9 @@ COMMANDS = {
         "Random pairings spread a one-qubit perturbation; the mean size "
         "follows s(tau)/K = e^(tau-ln K)/(1+e^(tau-ln K)) and the precursor "
         "complexity follows K ln(1+e^(tau-ln K)).  The logistic column holds "
-        "K times the logistic fraction so it is directly comparable to mc_mean.",
+        "K times the logistic fraction so it is directly comparable to mc_mean.  "
+        "The logistic is the K~10 comparison: the discrete model doubles per "
+        "step and crosses over near log2 K, so at large K the two separate.",
         (
             Option("--qubits", int, 10, "even qubit count K"),
             Option("--max-steps", int, 12, "circuit depth to simulate"),

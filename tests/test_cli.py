@@ -66,6 +66,27 @@ def test_scramble_csv_contract_and_determinism(tmp_path):
     assert read(out2 / "scramble.csv") != csv1
 
 
+def test_scramble_k1000_is_byte_identical_and_exact_at_tau2(tmp_path):
+    K, trials = 1000, 4096
+    args = ["scramble", "--qubits", str(K), "--trials", str(trials), "--max-steps", "14"]
+    assert main(args + ["--outdir", str(tmp_path / "a")]) == 0
+    assert main(args + ["--outdir", str(tmp_path / "b")]) == 0
+    csv = read(tmp_path / "a" / "scramble.csv")
+    assert csv == read(tmp_path / "b" / "scramble.csv")
+    row = csv.decode().splitlines()[3].split(",")
+    assert row[0] == "2"
+    # from s = 2 the count is 4 unless the two infected qubits pair up (1/(K-1))
+    p4 = (K - 2) / (K - 1)
+    stderr = 2 * np.sqrt(p4 * (1 - p4) / trials)
+    assert abs(float(row[1]) - (2 + 2 * p4)) < 5 * stderr
+
+
+@pytest.mark.parametrize("flags", [["--qubits", "7"], ["--max-steps", "-1"]])
+def test_scramble_bad_size_exits_1_with_message(tmp_path, capsys, flags):
+    assert main(["scramble", *flags, "--trials", "10", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_curvature_csv_determinism(tmp_path):
     args = ["curvature", "--qubits", "6", "--trials", "20"]
     out1 = tmp_path / "a"

@@ -1,11 +1,17 @@
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import gammaln
 
 from complexitylab.scrambling import (
+    _pairing_law,
+    _reachable_table,
     _step_counts,
     circuit_complexity_linear,
     expected_step_increment,
@@ -141,3 +147,169 @@ def test_mc_tracks_logistic_k10():
     traj = simulate_epidemic(10, 12, trials=20_000, seed=2)
     curve = logistic_size(traj.taus, 10)
     assert np.max(np.abs(traj.mean_infected / 10 - curve)) < 0.06
+
+
+# --- oracles for the one-step law; none shares code with the sampler ----------
+
+
+def argsort_step_counts(K, s, rng):
+    """Reference sampler: argsort a uniform (n, K) matrix into pairings of
+    consecutive entries; qubits 0..s-1 are infected and every pair that
+    touches one ends fully infected."""
+    n = s.shape[0]
+    perms = np.argsort(rng.random((n, K)), axis=1)
+    touched = perms.reshape(n, K // 2, 2) < s[:, None, None]
+    return 2 * touched.any(axis=2).sum(axis=1)
+
+
+def enumerated_law(K, s):
+    """P(m) of m infected-infected pairs by counting every perfect pairing."""
+    counts = {}
+    pairings = list(all_pairings(tuple(range(K))))
+    for pairing in pairings:
+        m = sum(a < s and b < s for a, b in pairing)
+        counts[m] = counts.get(m, 0) + 1
+    return {m: Fraction(c, len(pairings)) for m, c in counts.items()}, len(pairings)
+
+
+def odd_factorial(n):
+    """(n)!! for odd n, with (-1)!! = 1."""
+    return math.prod(range(n, 0, -2))
+
+
+def closed_form_law(K, s):
+    """Exact P(m) from the closed form, in integers."""
+    law = {}
+    for m in range(max(0, s - K // 2), s // 2 + 1):
+        rest = K - 2 * s + 2 * m
+        ways = (
+            math.comb(s, 2 * m) * odd_factorial(2 * m - 1)
+            * math.perm(K - s, s - 2 * m) * odd_factorial(rest - 1)
+        )
+        law[m] = Fraction(ways, odd_factorial(K - 1))
+    return law
+
+
+def log_odd_factorial(n):
+    """ln (n-1)!! for even n."""
+    return gammaln(n + 1) - (n / 2) * math.log(2) - gammaln(n / 2 + 1)
+
+
+def chain_moments(K, max_steps):
+    """Exact mean and variance of s(tau) from s(0) = 1, iterating the
+    closed-form law (in log-gamma form) over the full distribution."""
+    dist = np.zeros(K + 1)
+    dist[1] = 1.0
+    counts = np.arange(K + 1)
+    means, variances = [], []
+    for _ in range(max_steps + 1):
+        means.append(dist @ counts)
+        variances.append(max(dist @ counts**2 - means[-1] ** 2, 0.0))
+        nxt = np.zeros(K + 1)
+        for s in np.flatnonzero(dist):
+            m = np.arange(max(0, s - K // 2), s // 2 + 1)
+            rest = K - 2 * s + 2 * m
+            logp = (
+                gammaln(s + 1) - gammaln(2 * m + 1) - gammaln(s - 2 * m + 1) + log_odd_factorial(2 * m)
+                + gammaln(K - s + 1) - gammaln(rest + 1) + log_odd_factorial(rest) - log_odd_factorial(K)
+            )
+            np.add.at(nxt, 2 * (s - m), dist[s] * np.exp(logp))
+        dist = nxt
+    return np.array(means), np.array(variances)
+
+
+@pytest.mark.parametrize("K, n_pairings", [(4, 3), (6, 15), (8, 105)])
+def test_law_equals_pairing_enumeration(K, n_pairings):
+    starts, m_lo, p = _pairing_law(K, np.arange(K + 1))
+    for s in range(K + 1):
+        law, count = enumerated_law(K, s)
+        assert count == n_pairings
+        row = p[starts[s] : starts[s + 1]]
+        assert sorted(law) == list(range(m_lo[s], m_lo[s] + len(row)))
+        assert np.allclose(row, [float(law[m]) for m in sorted(law)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("K", [4, 6, 8])
+def test_sampler_table_equals_pairing_enumeration(K):
+    # the reachable rows, s = 1 and even s, read back from the cumulative table
+    table = _reachable_table(K)
+    assert np.flatnonzero(table.row_of >= 0).tolist() == [1] + list(range(2, K + 1, 2))
+    for s in np.flatnonzero(table.row_of >= 0):
+        r = table.row_of[s]
+        law, _ = enumerated_law(K, s)
+        flat = np.arange(min(law), max(law) + 1) - table.base[r]
+        cdf = table.cdf[flat] - r
+        assert np.allclose(np.diff(cdf, prepend=0.0), [float(law[m]) for m in sorted(law)], rtol=0, atol=1e-12)
+        assert cdf[-1] == 1.0
+        assert flat[0] == 0 or table.cdf[flat[0] - 1] == r  # the previous row ends where this one starts
+
+
+@pytest.mark.parametrize("K", [10, 1000])
+def test_law_mean_is_exact_increment(K):
+    rows = np.arange(1, K + 1)
+    starts, m_lo, p = _pairing_law(K, rows)
+    for r, s in enumerate(rows):
+        m = np.arange(m_lo[r], m_lo[r] + starts[r + 1] - starts[r])
+        prob = p[starts[r] : starts[r + 1]]
+        assert prob.sum() == pytest.approx(1.0, abs=1e-12)
+        assert prob @ (2 * (s - m)) == pytest.approx(s + expected_step_increment(K, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("K, s", [(10, 4), (1000, 40), (1000, 600)])
+def test_one_step_draws_chi_square(K, s):
+    law = closed_form_law(K, s)
+    n = 200_000
+    new = _step_counts(K, np.full(n, s, dtype=np.int64), np.random.default_rng(K + s))
+    m = s - new // 2
+    ms = sorted(law)
+    observed = np.bincount(m - ms[0], minlength=len(ms))
+    assert observed.size == len(ms)
+    expected = n * np.array([float(law[k]) for k in ms])
+    # pool the bins expected to hold fewer than 5 draws into their neighbours
+    keep = expected >= 5
+    edges = np.flatnonzero(keep)
+    groups = np.clip(np.searchsorted(edges, np.arange(len(ms)), side="right") - 1, 0, None)
+    obs = np.bincount(groups, weights=observed)
+    exp = np.bincount(groups, weights=expected)
+    assert obs.size >= 2
+    assert stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("s", [40, 600])
+def test_sampler_matches_argsort_reference_k1000(s):
+    K, n = 1000, 16_384
+    ref = np.concatenate(
+        [argsort_step_counts(K, np.full(4096, s, dtype=np.int64), np.random.default_rng([7, i])) for i in range(n // 4096)]
+    )
+    new = _step_counts(K, np.full(n, s, dtype=np.int64), np.random.default_rng(7))
+    values = np.union1d(ref, new)
+    table = np.array([[np.sum(ref == v) for v in values], [np.sum(new == v) for v in values]])
+    table = table[:, table.sum(axis=0) >= 10]
+    assert stats.chi2_contingency(table).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("K, steps, trials, seed", [(10, 12, 20_000, 3), (1000, 14, 4096, 5)])
+def test_mc_matches_exact_chain(K, steps, trials, seed):
+    mean, var = chain_moments(K, steps)
+    traj = simulate_epidemic(K, steps, trials, seed)
+    for tau in range(steps + 1):
+        if var[tau] == 0.0:
+            assert traj.mean_infected[tau] == mean[tau]
+        else:
+            z = (traj.mean_infected[tau] - mean[tau]) / math.sqrt(var[tau] / trials)
+            assert abs(z) < 5, (tau, z)
+
+
+def test_exact_chain_doubles_per_step_at_k1000():
+    K = 1000
+    mean, _ = chain_moments(K, 12)
+    assert np.round(mean[:6], 1).tolist() == [1.0, 2.0, 4.0, 8.0, 15.9, 31.6]
+    # the half-way crossover sits near log2 K, not at the logistic's ln K
+    half = int(np.argmax(mean >= K / 2))
+    assert abs(half - math.log2(K)) < 1
+    assert abs(mean[8] / K - logistic_size(8.0, K)) == pytest.approx(0.52, abs=0.005)
+
+
+def test_epidemic_rejects_negative_steps():
+    with pytest.raises(ValueError, match="max_steps"):
+        simulate_epidemic(10, -1, 10, 0)
