@@ -14,6 +14,8 @@ success, 1 numeric failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 import time
@@ -34,8 +36,9 @@ from .geometry import PenaltySchedule, curvature_ensemble
 
 OUTDIR_ENV = "COMPLEXITYLAB_OUTDIR"
 # Ball size cap of `bfs`: a free (random) set grows 7x a layer and would
-# exhaust memory by depth 8; the cap stops the default 4-pair set after
-# depth 6 (156,865 elements).
+# exhaust memory by depth 8.  A layer is grown only if the ball plus its
+# frontier times the gate count stays within the cap, which stops the
+# default 4-pair set after depth 6 (156,865 elements).
 BFS_MAX_ELEMENTS = 1_000_000
 
 
@@ -77,6 +80,8 @@ def _parse_spectrum(text: str) -> np.ndarray:
         _usage_error(f"--spectrum: cannot parse {text!r}: {exc}")
     if not values:
         _usage_error("--spectrum: no energy levels given")
+    if not all(map(math.isfinite, values)):
+        _usage_error(f"--spectrum: energy levels must be finite, got {text!r}")
     return np.asarray(values)
 
 
@@ -175,18 +180,8 @@ def cmd_curvature(opts, outdir: str) -> tuple[int, dict]:
 
 def cmd_counting(opts, outdir: str) -> tuple[int, dict]:
     report = counting.counting_report(opts.qubits, opts.epsilon)
-    header = ["K", "epsilon", "log_vol_su", "log_ball", "log_num_unitaries", "log_branching", "c_max", "log_log_recurrence"]
-    row = (
-        report.K,
-        report.epsilon,
-        report.log_vol_su,
-        report.log_ball,
-        report.log_num_unitaries,
-        report.log_branching,
-        report.c_max,
-        report.log_log_recurrence,
-    )
-    write_csv(os.path.join(outdir, "counting.csv"), header, [row])
+    header = [f.name for f in dataclasses.fields(report)]
+    write_csv(os.path.join(outdir, "counting.csv"), header, [dataclasses.astuple(report)])
     return 0, {"qubits": report.K, "epsilon": report.epsilon, "c_max": report.c_max}
 
 
@@ -308,13 +303,26 @@ class Command(NamedTuple):
     options: tuple[Option, ...] = ()
 
 
+def finite(text: str) -> float:
+    """Type of a float option: nan and +-inf are refused, so none can give a silent answer."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def finite_or_inf(text: str) -> float:
+    """finite, or +inf: the ground-state limit of --beta."""
+    return math.inf if float(text) == math.inf else finite(text)
+
+
 def _black_hole_options(mu: float) -> tuple[Option, ...]:
     return (
         Option("--dim", int, 4, "bulk dimension d >= 4"),
-        Option("--mu", float, mu, "mass parameter"),
-        Option("--mass", float, None, "mass M (overrides --mu)"),
-        Option("--lads", float, 1.0, "AdS radius"),
-        Option("--G", float, 1.0, "Newton constant"),
+        Option("--mu", finite, mu, "mass parameter"),
+        Option("--mass", finite, None, "mass M (overrides --mu)"),
+        Option("--lads", finite, 1.0, "AdS radius"),
+        Option("--G", finite, 1.0, "Newton constant"),
     )
 
 
@@ -344,11 +352,12 @@ COMMANDS = {
         cmd_bfs, "breadth-first gate complexity over an inverse-closed gate set",
         "Counts distinct unitaries first reached at each word length; "
         "with --target reports its exact gate complexity (the shortest word). "
-        "Growth stops past 10^6 elements and the ball is reported truncated.",
+        "A layer that could take the ball past 10^6 elements (ball + frontier "
+        "x gates) is not grown, and the ball is reported truncated.",
         (
             Option("--gateset", str, "clifford2", "gate set", ("cnot", "clifford2", "random")),
             Option("--max-depth", int, 12, "BFS depth cap"),
-            Option("--epsilon", float, 1e-6, "dedup resolution"),
+            Option("--epsilon", finite, 1e-6, "dedup resolution"),
             Option("--pairs", int, 4, "Haar gate pairs for --gateset random"),
             Option("--target", str, None, "CSV file of the target matrix, rows of re,im pairs"),
         ),
@@ -360,7 +369,7 @@ COMMANDS = {
         "ratio scales like 1/K.",
         (
             Option("--qubits", int, 8, "even qubit count K >= 4"),
-            Option("--penalty-c", float, 1.0, "penalty prefactor c"),
+            Option("--penalty-c", finite, 1.0, "penalty prefactor c"),
             Option("--penalty-k", int, 2, "locality threshold k"),
             Option("--trials", int, 100, "ensemble size"),
         ),
@@ -372,7 +381,7 @@ COMMANDS = {
         "recurrence magnitudes, all as natural logs.",
         (
             Option("--qubits", int, 4, "even qubit count K"),
-            Option("--epsilon", float, 0.01, "resolution in (0,1)"),
+            Option("--epsilon", finite, 0.01, "resolution in (0,1)"),
         ),
     ),
     "tfd": Command(
@@ -382,10 +391,10 @@ COMMANDS = {
         "two-sided correlators; the difference Hamiltonian leaves the state "
         "invariant at tl = tr, the sum does not.",
         (
-            Option("--beta", float, 1.0, "inverse temperature >= 0"),
+            Option("--beta", finite_or_inf, 1.0, "inverse temperature >= 0"),
             Option("--spectrum", str, "0,1", "comma-separated energies or a file"),
-            Option("--tl", float, 0.0, "left boundary time"),
-            Option("--tr", float, 0.0, "right boundary time"),
+            Option("--tl", finite, 0.0, "left boundary time"),
+            Option("--tr", finite, 0.0, "right boundary time"),
             Option("--sign", str, "minus", "Hamiltonian combination", ("minus", "plus")),
         ),
     ),
@@ -397,8 +406,8 @@ COMMANDS = {
         "with slope Omega_(d-2) r_m^(d-2) sqrt|f(r_m)|.",
         _black_hole_options(mu=100.0) + (
             Option("--egrid-points", int, 16, "energy grid size"),
-            Option("--eta-max", float, 0.1, "largest 1 - E/E_c"),
-            Option("--eta-min", float, 1e-5, "smallest 1 - E/E_c"),
+            Option("--eta-max", finite, 0.1, "largest 1 - E/E_c"),
+            Option("--eta-min", finite, 1e-5, "smallest 1 - E/E_c"),
         ),
     ),
     "wdw": Command(
@@ -406,7 +415,7 @@ COMMANDS = {
         "Bulk term -r_h^(d-1) Omega/(8 pi G l^2) plus the surface bracket "
         "evaluated at the horizon; the total equals 2M exactly and saturates the "
         "growth bound 2M/(pi hbar).",
-        _black_hole_options(mu=1.0) + (Option("--hbar", float, 1.0, "hbar for the bound"),),
+        _black_hole_options(mu=1.0) + (Option("--hbar", finite, 1.0, "hbar for the bound"),),
     ),
     "paper-suite": Command(
         cmd_paper_suite, "run every acceptance check, one PASS/FAIL line each",

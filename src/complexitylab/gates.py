@@ -21,7 +21,6 @@ and right invariance C(U, V) = C(U V^dag) holds by construction.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +83,8 @@ class GateSet:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         dim = 1 << self.K
         object.__setattr__(self, "gates", tuple((str(l), np.asarray(g, dtype=complex)) for l, g in self.gates))
         for label, g in self.gates:
@@ -156,7 +157,7 @@ def _row_keys(V: np.ndarray, epsilon: float) -> list[bytes]:
     top = np.ascontiguousarray(mags.T).max(axis=0)  # 3x faster than max(axis=1) over short rows
     first = np.argmax(mags >= top[:, None] - 1e-12, axis=1)
     z = flat[np.arange(n), first]
-    absz = np.abs(z)
+    absz = np.hypot(z.real, z.imag)  # abs(z) of phase_fix bit for bit; np.abs(z) is not
     # a zero row stays zero, as phase_fix leaves it
     fixed = flat * (z.conj() / np.where(absz == 0, 1.0, absz))[:, None]
     pitch = epsilon / dim
@@ -168,8 +169,8 @@ def _row_keys(V: np.ndarray, epsilon: float) -> list[bytes]:
 
 
 def _grow(
-    gs: GateSet, max_depth: int, stop: Callable[[dict[bytes, int]], bool]
-) -> tuple[ComplexityBall, list[bytes] | None]:
+    gs: GateSet, max_depth: int, max_elements: int | None = None, target: bytes | None = None
+) -> ComplexityBall:
     """The BFS engine behind sphere_growth and bfs_complexity.
 
     A layer grows in blocks of _BLOCK_ROWS frontier rows.  One matmul forms
@@ -177,10 +178,10 @@ def _grow(
     (the order of a per-matrix loop), and _row_keys keys them all.  Rows
     with unseen keys enter the index and, in order, the layer's sources
     and the one buffer that becomes the next frontier; the last layer is
-    never multiplied, so its matrices are not kept.  ``stop(index)`` is asked
-    after each block that added keys; if it says yes, growth ends there and
-    the keys of the unfinished layer are returned with the ball (None when
-    growth reached max_depth or saturation).
+    never multiplied, so its matrices are not kept.  A layer that could
+    take the ball past ``max_elements`` (len(index) + len(frontier) * g)
+    is not grown and the ball is marked truncated.  Growth ends at the
+    first block that keys ``target``.
     """
     dim = gs.dim
     eye = np.eye(dim, dtype=complex)
@@ -190,49 +191,46 @@ def _grow(
     frontier = eye[None]
     for depth in range(1, max_depth + 1):
         width = len(frontier) * g
+        if max_elements is not None and len(ball.index) + width > max_elements:
+            ball.truncated = True
+            break
         layer = np.empty((width, dim, dim), dtype=complex) if depth < max_depth else None
         sources = np.empty(width, dtype=np.intp)
-        layer_keys: list[bytes] = []
+        found = 0
         for start in range(0, len(frontier), _BLOCK_ROWS):
             products = np.matmul(gates, frontier[start : start + _BLOCK_ROWS, None]).reshape(-1, dim, dim)
-            done = len(layer_keys)
             rows = []
             for row, key in enumerate(_row_keys(products, gs.epsilon)):
                 if key not in ball.index:
                     ball.index[key] = depth
-                    layer_keys.append(key)
                     rows.append(row)
             if rows:
-                np.add(rows, start * g, out=sources[done : len(layer_keys)])
+                np.add(rows, start * g, out=sources[found : found + len(rows)])
                 if layer is not None:
-                    layer[done : len(layer_keys)] = products[rows]
-                if stop(ball.index):
-                    return ball, layer_keys
-        if not layer_keys:
+                    layer[found : found + len(rows)] = products[rows]
+                found += len(rows)
+                if target in ball.index:
+                    return ball
+        if not found:
             ball.saturated = True
             break
         # no views of the buffers exist, so they shrink in place without a copy
-        sources.resize(len(layer_keys), refcheck=False)
+        sources.resize(found, refcheck=False)
         ball.sources.append(sources)
         if layer is not None:
-            layer.resize((len(layer_keys), dim, dim), refcheck=False)
+            layer.resize((found, dim, dim), refcheck=False)
             frontier = layer
-    return ball, None
+    return ball
 
 
 def sphere_growth(gs: GateSet, max_depth: int, max_elements: int | None = None) -> ComplexityBall:
     """Grow the BFS ball to ``max_depth`` (or to group saturation).
 
-    If ``max_elements`` is exceeded the growth stops within the layer that
-    exceeds it; the ball keeps only its complete layers and is marked
+    A layer that could take the ball past ``max_elements`` if every product
+    were new is not grown; the ball keeps its complete layers and is marked
     truncated, so the reported depths stay exact.
     """
-    ball, unfinished = _grow(gs, max_depth, lambda index: max_elements is not None and len(index) > max_elements)
-    if unfinished is not None:
-        for key in unfinished:
-            del ball.index[key]
-        ball.truncated = True
-    return ball
+    return _grow(gs, max_depth, max_elements)
 
 
 def bfs_complexity(
@@ -260,8 +258,7 @@ def bfs_complexity(
         if ball.saturated or len(ball.counts) - 1 >= max_depth:
             return None
     tkey = canonical_key(target, gs.epsilon)
-    searched, _ = _grow(gs, max_depth, lambda index: tkey in index)
-    return searched.index.get(tkey)
+    return _grow(gs, max_depth, None, tkey).index.get(tkey)
 
 
 def relative_complexity(

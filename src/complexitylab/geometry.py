@@ -27,10 +27,10 @@ from .paulis import (
     PauliString,
     enumerate_strings,
     evolve,
+    gaussian_couplings,
     is_unitary,
     normalized_trace_product,
     pauli_matrix,
-    sample_klocal,
 )
 
 DEFAULT_STENCIL_H = 1e-4
@@ -207,23 +207,20 @@ def sectional_curvature(
     return prefactor * num / (hh * dd)
 
 
-def sample_orthogonal_pair(
-    K: int, seed: int, draw: int = 0, target_energy_variance: float | None = None
-) -> tuple[KLocalHamiltonian, KLocalHamiltonian]:
-    """Two exactly 2-local Gaussian Hamiltonians with Tr(H Delta) = 0.
+def _orthogonal_couplings(K: int, n: int, seed: int, draw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (h, d) of pair ``draw`` over n terms, each Gaussian of total
+    variance K, with d projected against h in coupling space (the trace
+    inner product, the Pauli basis being orthonormal)."""
+    h = gaussian_couplings(n, float(K), seed, 2 * draw)
+    d = gaussian_couplings(n, float(K), seed, 2 * draw + 1)
+    return h, d - (d @ h) / (h @ h) * h
 
-    The second draw is projected against the first in coupling space,
-    which is the trace inner product because the Pauli basis is
-    orthonormal.
-    """
-    target = float(K) if target_energy_variance is None else target_energy_variance
-    H = sample_klocal(K, 2, True, target, seed, draw=2 * draw)
-    D0 = sample_klocal(K, 2, True, target, seed, draw=2 * draw + 1)
-    j = H.couplings()
-    d = D0.couplings()
-    d = d - (d @ j) / (j @ j) * j
-    terms = dict(zip(D0.terms.keys(), d.tolist()))
-    return H, KLocalHamiltonian(K, 2, terms, D0.ensemble_variance)
+
+def sample_orthogonal_pair(K: int, seed: int, draw: int = 0) -> tuple[KLocalHamiltonian, KLocalHamiltonian]:
+    """Two exactly 2-local Gaussian Hamiltonians with Tr(H Delta) = 0."""
+    strings = enumerate_strings(K, 2, exactly_local=True)
+    h, d = _orthogonal_couplings(K, len(strings), seed, draw)
+    return tuple(KLocalHamiltonian(K, 2, dict(zip(strings, j.tolist())), K / len(strings)) for j in (h, d))
 
 
 @dataclass(frozen=True)
@@ -242,8 +239,9 @@ def curvature_ensemble(
 ) -> CurvatureEnsemble:
     """Average R and 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) over Gaussian pairs.
 
-    Every pair has its terms in the order of ``enumerate_strings``, so
-    one ``CommutatorTable`` serves all trials.
+    The pairs are those of ``sample_orthogonal_pair``, drawn as coupling
+    vectors in the term order of ``enumerate_strings``, so one
+    ``CommutatorTable`` serves all trials.
     """
     if K < 4 or K % 2:
         raise ValueError(f"K must be even and >= 4, got {K}")
@@ -254,9 +252,9 @@ def curvature_ensemble(
     table = CommutatorTable(strings, strings)
     ratios = np.empty(trials)
     for i in range(trials):
-        H, D = sample_orthogonal_pair(K, seed, draw=i)
-        num = 2.0 * table.commutator_norm_sq(H.couplings(), D.couplings())
-        ratios[i] = num / (H.coupling_norm_sq() * D.coupling_norm_sq())
+        h, d = _orthogonal_couplings(K, len(strings), seed, i)
+        # sequential sums in term order, bit for bit KLocalHamiltonian.coupling_norm_sq (h @ h sums pairwise)
+        ratios[i] = 2.0 * table.commutator_norm_sq(h, d) / (sum((h * h).tolist()) * sum((d * d).tolist()))
     curvatures = prefactor * ratios
     ddof = 1 if trials > 1 else 0
     return CurvatureEnsemble(

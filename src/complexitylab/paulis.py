@@ -249,30 +249,23 @@ class CommutatorTable:
         return 4.0 * float(np.sum(S * S))
 
 
+def gaussian_couplings(n: int, variance: float, seed: int, draw: int = 0) -> np.ndarray:
+    """n independent N(0, variance / n) couplings, whose squares sum to
+    ``variance`` in the mean.  ``(seed, draw)`` selects an independent RNG
+    stream per draw, so ensembles can be sampled in any order or in parallel."""
+    if variance <= 0:
+        raise ValueError("variance must be positive")
+    return np.random.default_rng([seed, draw]).normal(0.0, math.sqrt(variance / n), size=n)
+
+
 def sample_klocal(
-    K: int,
-    k: int,
-    exactly_local: bool,
-    target_energy_variance: float,
-    seed: int,
-    draw: int = 0,
+    K: int, k: int, exactly_local: bool, target_energy_variance: float, seed: int, draw: int = 0
 ) -> KLocalHamiltonian:
-    """Draw a Gaussian k-local Hamiltonian.
-
-    Every admissible string receives an independent zero-mean Gaussian
-    coupling with variance target_energy_variance / N_terms, so the
-    ensemble mean of sum_I J_I^2 equals ``target_energy_variance``.
-
-    ``(seed, draw)`` selects an independent RNG stream per draw, so
-    ensembles can be sampled in any order or in parallel.
-    """
-    if target_energy_variance <= 0:
-        raise ValueError("target_energy_variance must be positive")
+    """A Gaussian k-local Hamiltonian: every admissible string gets a coupling
+    from ``gaussian_couplings``, so the mean of sum_I J_I^2 is ``target_energy_variance``."""
     strings = enumerate_strings(K, k, exactly_local)
-    rng = np.random.default_rng([seed, draw])
-    sigma_sq = target_energy_variance / len(strings)
-    J = rng.normal(0.0, math.sqrt(sigma_sq), size=len(strings))
-    return KLocalHamiltonian(K, k, dict(zip(strings, J.tolist())), sigma_sq)
+    J = gaussian_couplings(len(strings), target_energy_variance, seed, draw)
+    return KLocalHamiltonian(K, k, dict(zip(strings, J.tolist())), target_energy_variance / len(strings))
 
 
 def normalized_trace(A: np.ndarray) -> complex:

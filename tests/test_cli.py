@@ -285,6 +285,45 @@ def test_bad_spectrum_or_target_exits_2(tmp_path, capsys, argv, target):
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bfs", "--epsilon", "nan", "--gateset", "cnot"],
+        ["curvature", "--penalty-c", "nan"],
+        ["wdw", "--hbar", "nan"],
+        ["wdw", "--G", "inf"],
+        ["wormhole", "--mu", "-inf"],
+        ["tfd", "--beta", "nan"],
+        ["tfd", "--beta", "-inf"],
+        ["tfd", "--tl", "nan"],
+        ["tfd", "--spectrum", "0,nan"],
+    ],
+)
+def test_non_finite_input_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    flag, value = argv[1], argv[2]
+    if flag != "--spectrum":
+        (tmp_path / "c.cfg").write_text(f"{flag[2:]}={value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", str(tmp_path / "c.cfg"), "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: --config: bad value for {flag}")
+
+
+def test_tfd_beta_inf_is_the_ground_state(tmp_path):
+    assert main(["tfd", "--beta", "inf", "--spectrum", "0,1", "--outdir", str(tmp_path)]) == 0
+    values = dict(line.split(",") for line in read(tmp_path / "tfd.csv").decode().splitlines()[1:])
+    assert float(values["entropy_left"]) == 0.0
+
+
+def test_bfs_zero_epsilon_exits_1(tmp_path, capsys):
+    assert main(["bfs", "--epsilon", "0", "--gateset", "cnot", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: epsilon must be finite and > 0")
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_help_prints_every_table_default(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -307,7 +346,7 @@ def _sample_value(opt) -> str:
         return next(c for c in opt.choices if c != opt.default)
     if opt.type is int:
         return str((opt.default or 0) + 3)
-    if opt.type is float:
+    if opt.type in (cli.finite, cli.finite_or_inf):
         return "2.5"
     return "elsewhere"
 

@@ -173,6 +173,23 @@ def test_sphere_growth_truncation():
     assert ball.counts == sphere_growth(gs, max_depth=len(ball.counts) - 1).counts
 
 
+def test_sphere_growth_skips_a_layer_that_could_pass_the_cap():
+    gs = random_inverse_closed_gateset(2, 4, 1729)
+    # free growth 1, 8, 56, 392: after depth 3 the ball holds 457 and the
+    # next layer could add 392 * 8 = 3136
+    assert sphere_growth(gs, 6, max_elements=457 + 3136).counts == [1, 8, 56, 392, 2744]
+    ball = sphere_growth(gs, 6, max_elements=457 + 3135)
+    assert ball.truncated and not ball.saturated
+    assert ball.counts == [1, 8, 56, 392]
+    assert ball.size == 457
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan"), float("inf")])
+def test_gateset_rejects_a_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        cnot_pair_gateset(epsilon)
+
+
 def test_ball_repr_is_short(clifford_ball):
     _, ball = clifford_ball
     text = repr(ball)
@@ -296,12 +313,21 @@ def test_sphere_growth_truncation_mid_layer(monkeypatch):
     assert ball.truncated and not ball.saturated
     assert ball.counts == [1, 8, 41]
     assert ball.size == 50 == len(ball.members)
-    # depth 3 expands 41 rows in 11 blocks; the cap falls within the layer
-    assert len(blocks) < 1 + 2 + 11
+    # 50 + 41 * 8 > 100, so no block of depth 3 is keyed: 1 block at depth 1, 2 at depth 2
+    assert blocks == [8, 32, 32]
     assert ball.counts == sphere_growth(gs, max_depth=len(ball.counts) - 1).counts
 
 
 _PHASES = [1, 1j, -1, -1j, np.exp(0.25j * np.pi)]
+
+
+def test_batched_keys_equal_canonical_key_on_fine_grids():
+    # at a fine grid one last-bit difference in |z| moves about 1% of the keys
+    rng = np.random.default_rng(303)
+    for _ in range(100):
+        stack = np.array([haar_unitary(4, rng) * np.exp(2j * math.pi * rng.uniform()) for _ in range(24)])
+        for epsilon in (1e-11, 1e-13):
+            assert gates._row_keys(stack, epsilon) == [canonical_key(U, epsilon) for U in stack]
 
 
 @settings(max_examples=60, deadline=None)

@@ -294,6 +294,45 @@ def test_curvature_ensemble_reproducible_and_consistent():
     assert single.mean == pytest.approx(sectional_curvature(hk, dk, K2_SCHEDULE), rel=1e-12)
 
 
+@pytest.mark.parametrize("K", [4, 6])
+def test_curvature_ensemble_matches_a_loop_over_sampled_pairs(K):
+    # reference: Hamiltonian pairs, their own term tables and coupling_norm_sq
+    trials, seed = 9, 70
+    result = curvature_ensemble(K, K2_SCHEDULE, trials=trials, seed=seed)
+    ratios, curvatures = [], []
+    for i in range(trials):
+        hk, dk = sample_orthogonal_pair(K, seed, i)
+        table = CommutatorTable(list(hk.terms), list(dk.terms))
+        num = 2.0 * table.commutator_norm_sq(hk.couplings(), dk.couplings())
+        ratios.append(num / (hk.coupling_norm_sq() * dk.coupling_norm_sq()))
+        curvatures.append(sectional_curvature(hk, dk, K2_SCHEDULE))
+    assert result.trace_ratio_mean == np.array(ratios).mean()
+    assert result.mean == pytest.approx(np.mean(curvatures), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("K, seed, draw", [(4, 3, 0), (6, 11, 5)])
+def test_pair_first_member_is_the_even_klocal_draw(K, seed, draw):
+    hk, _ = sample_orthogonal_pair(K, seed, draw)
+    ref = sample_klocal(K, 2, True, K, seed, 2 * draw)
+    assert hk == ref
+    assert hk.couplings().tobytes() == ref.couplings().tobytes()
+
+
+def test_curvature_ensemble_builds_no_hamiltonian(monkeypatch):
+    built = []
+    post_init = KLocalHamiltonian.__post_init__
+
+    def counted(self):
+        built.append(self.K)
+        post_init(self)
+
+    monkeypatch.setattr(KLocalHamiltonian, "__post_init__", counted)
+    curvature_ensemble(4, K2_SCHEDULE, trials=5, seed=1)
+    assert built == []
+    sample_orthogonal_pair(4, seed=1)
+    assert built == [4, 4]  # the counter sees every construction
+
+
 def test_curvature_ensemble_validation():
     with pytest.raises(ValueError):
         curvature_ensemble(3, K2_SCHEDULE, trials=2, seed=0)
