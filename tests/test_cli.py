@@ -317,6 +317,9 @@ def test_tfd_beta_inf_is_the_ground_state(tmp_path):
     assert main(["tfd", "--beta", "inf", "--spectrum", "0,1", "--outdir", str(tmp_path)]) == 0
     values = dict(line.split(",") for line in read(tmp_path / "tfd.csv").decode().splitlines()[1:])
     assert float(values["entropy_left"]) == 0.0
+    for side in ("left", "right", "thermal"):  # not "-0"
+        assert values[f"entropy_{side}"] == "0"
+    assert "entropy_left: 0\n" in read(tmp_path / "tfd_summary.txt").decode()
 
 
 def test_bfs_zero_epsilon_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -26,10 +27,15 @@ from complexitylab.gates import (
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
-@pytest.fixture(scope="module")
-def clifford_ball():
+@functools.cache
+def _clifford_ball():
     gs = two_qubit_clifford_gateset()
     return gs, sphere_growth(gs, max_depth=20)
+
+
+@pytest.fixture(scope="module")
+def clifford_ball():
+    return _clifford_ball()
 
 
 def test_canonical_key_phase_invariant():
@@ -338,8 +344,11 @@ def test_batched_keys_equal_canonical_key_on_fine_grids():
     epsilon=st.sampled_from([1e-6, 1e-3, 1e-11]),
     exact_phases=st.booleans(),
 )
-def test_batched_keys_equal_canonical_key(clifford_ball, seed, n, kind, epsilon, exact_phases):
-    _, ball = clifford_ball
+def test_batched_keys_equal_canonical_key(seed, n, kind, epsilon, exact_phases):
+    # the ball comes from a cached helper, not a fixture argument: hypothesis
+    # prints every argument of a falsifying example, and the ball's repr is
+    # large enough to raise a HypothesisWarning in place of the failure
+    _, ball = _clifford_ball()
     rng = np.random.default_rng(seed)
     if kind == "clifford":  # magnitude ties at 1/2 and 1/sqrt(2)
         members = ball.members

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complexitylab.gates import haar_unitary
+from complexitylab import gates
+from complexitylab.gates import haar_unitary, random_inverse_closed_gateset
 from complexitylab.thermofield import (
     DensityMatrix,
     evolve_tfd,
@@ -67,6 +68,7 @@ def test_entropy_extremes():
     pure = np.zeros((4, 4), dtype=complex)
     pure[2, 2] = 1.0
     assert von_neumann_entropy(pure) == 0.0
+    assert math.copysign(1.0, von_neumann_entropy(pure)) == 1.0  # +0.0, not -0.0
     assert von_neumann_entropy(np.eye(5) / 5) == pytest.approx(math.log(5))
 
 
@@ -237,3 +239,66 @@ def test_scrambled_state_is_normalized_and_spreads():
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     rho = partial_trace(psi, side="left", dims=(4, 4))
     assert von_neumann_entropy(rho) > 0.5
+
+
+def _haar_reference(dim, rng):
+    """haar_unitary as one QR per matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _circuit_reference(K, n_gates, seed):
+    """The circuit gate by gate: one QR and two moveaxis copies per gate."""
+    rng = np.random.default_rng(seed)
+    psi = np.zeros(1 << K, dtype=complex)
+    psi[0] = 1.0
+    for _ in range(n_gates):
+        a, b = rng.choice(K, size=2, replace=False)
+        U = _haar_reference(4, rng)
+        t = psi.reshape([2] * K)
+        t = np.moveaxis(t, (a, b), (0, 1)).reshape(4, -1)
+        t = (U @ t).reshape([2, 2] + [2] * (K - 2))
+        psi = np.moveaxis(t, (0, 1), (a, b)).reshape(-1)
+    return psi
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 10, 12])
+def test_scrambled_state_equals_gate_by_gate_reference(K):
+    for n_gates in (0, 1, 40, 300):
+        for seed in (0, 9, 1000 + K):
+            psi = scrambled_circuit_state(K, n_gates, seed)
+            assert np.array_equal(psi, _circuit_reference(K, n_gates, seed))
+
+
+def test_scrambled_state_gate_counts():
+    vacuum = np.zeros(16, dtype=complex)
+    vacuum[0] = 1.0
+    assert np.array_equal(scrambled_circuit_state(4, 0, seed=3), vacuum)
+    with pytest.raises(ValueError, match="n_gates"):
+        scrambled_circuit_state(4, -3, seed=3)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_stacked_haar_equals_one_matrix_at_a_time(dim):
+    rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+    z = np.array([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(50)])
+    stacked = gates._unitary_from_ginibre(z)
+    for i in range(len(z)):
+        U = _haar_reference(dim, ref)
+        assert np.array_equal(stacked[i], U)
+        assert np.array_equal(gates._unitary_from_ginibre(z[i]), U)
+    rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+    for _ in range(20):
+        assert np.array_equal(haar_unitary(dim, rng), _haar_reference(dim, ref))
+
+
+@pytest.mark.parametrize("K, n_pairs, seed", [(1, 2, 0), (2, 4, 3), (3, 3, 11)])
+def test_random_gateset_matrices_unchanged(K, n_pairs, seed):
+    ref = np.random.default_rng(seed)
+    want = []
+    for _ in range(n_pairs):
+        g = _haar_reference(1 << K, ref)
+        want += [g, g.conj().T]
+    got = random_inverse_closed_gateset(K, n_pairs, seed).matrices()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
