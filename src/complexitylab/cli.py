@@ -109,17 +109,10 @@ def _black_hole_from(opts) -> holography.BlackHoleSpec:
 def cmd_scramble(opts, outdir: str) -> tuple[int, dict]:
     K = opts.qubits
     traj = scrambling.simulate_epidemic(K, opts.max_steps, opts.trials, opts.seed)
-    rows = []
-    for tau, mean, err in traj.steps():
-        rows.append(
-            (
-                tau,
-                mean,
-                err,
-                K * scrambling.logistic_size(float(tau), K),
-                scrambling.precursor_complexity(float(tau), K),
-            )
-        )
+    rows = [
+        (tau, mean, err, K * scrambling.logistic_size(float(tau), K), scrambling.precursor_complexity(float(tau), K))
+        for tau, mean, err in traj.steps()
+    ]
     write_csv(os.path.join(outdir, "scramble.csv"), ["tau", "mc_mean", "mc_stderr", "logistic", "precursor"], rows)
     gap = max(abs(r[1] - r[3]) / K for r in rows)
     return 0, {
@@ -316,6 +309,22 @@ def finite_or_inf(text: str) -> float:
     return math.inf if float(text) == math.inf else finite(text)
 
 
+def _checked_int(name: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
+    """Type of an int option whose values must pass ``ok``; argparse reports it as ``name``."""
+    def parse(text: str) -> int:
+        if not ok(value := int(text)):
+            raise ValueError(f"not {name}: {text!r}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+even_count = _checked_int("even_count", lambda v: v >= 2 and v % 2 == 0)
+positive_int = _checked_int("positive_int", lambda v: v >= 1)
+nonnegative_int = _checked_int("nonnegative_int", lambda v: v >= 0)
+
+
 def _black_hole_options(mu: float) -> tuple[Option, ...]:
     return (
         Option("--dim", int, 4, "bulk dimension d >= 4"),
@@ -343,9 +352,9 @@ COMMANDS = {
         "The logistic is the K~10 comparison: the discrete model doubles per "
         "step and crosses over near log2 K, so at large K the two separate.",
         (
-            Option("--qubits", int, 10, "even qubit count K"),
-            Option("--max-steps", int, 12, "circuit depth to simulate"),
-            Option("--trials", int, 20000, "Monte-Carlo trials"),
+            Option("--qubits", even_count, 10, "even qubit count K >= 2"),
+            Option("--max-steps", nonnegative_int, 12, "circuit depth to simulate"),
+            Option("--trials", positive_int, 20000, "Monte-Carlo trials"),
         ),
     ),
     "bfs": Command(

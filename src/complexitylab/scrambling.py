@@ -5,7 +5,8 @@ the qubits are randomly paired at every step and each pair interacts.
 The spread is modelled combinatorially: a pair touching the infected set
 becomes fully infected.  One step is sampled from its exact law: with s
 infected, the number m of infected-infected pairs in a uniform pairing
-fixes the next count 2(s - m).
+fixes the next count 2(s - m).  Trials are kept as the number at each
+count and moved by one multinomial draw per occupied count.
 
 The discrete model doubles per step while s << K (s = 1, 2, 4.0, 8.0,
 15.9, ... at K = 1000) and crosses over near tau = log2 K.  The logistic
@@ -23,12 +24,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
-
-_CHUNK = 4096  # trials per RNG substream; fixed so results never depend on scheduling
 
 
 @dataclass(frozen=True)
@@ -111,59 +109,55 @@ def _pairing_law(K: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, m_lo, p
 
 
-class _StepTable(NamedTuple):
-    """Inverse-CDF sampler over the ragged rows of `_pairing_law`."""
-
-    row_of: np.ndarray  # row index of each count s = 0..K, -1 where s has no row
-    base: np.ndarray  # m_lo - starts per row, so m = flat index + base[row]
-    cdf: np.ndarray  # row r's cumulative law shifted into [r, r + 1], monotone overall
-
-
-def _build_step_table(K: int, rows) -> _StepTable:
+def _law_of(K: int, rows) -> tuple[np.ndarray, ...]:
+    """(row_of, starts, m_lo, p): read-only rows of `_pairing_law` and the row of each s, -1 where none."""
     rows = np.asarray(rows, dtype=np.int64)
-    starts, m_lo, p = _pairing_law(K, rows)
-    widths = np.diff(starts)
-    last = starts[1:] - 1
-    cdf = np.cumsum(p, out=p)
-    cdf -= np.repeat(np.concatenate(([0.0], cdf[last[:-1]])), widths)
-    cdf /= np.repeat(cdf[last], widths)  # every row ends at exactly 1
-    cdf += np.repeat(np.arange(len(rows), dtype=np.float64), widths)
     row_of = np.full(K + 1, -1, dtype=np.int64)
     row_of[rows] = np.arange(len(rows))
-    table = _StepTable(row_of, m_lo - starts[:-1], cdf)
-    for a in table:
+    law = (row_of, *_pairing_law(K, rows))
+    for a in law:
         a.flags.writeable = False
-    return table
+    return law
 
 
 @functools.lru_cache(maxsize=4)
-def _reachable_table(K: int) -> _StepTable:
-    """Step table over the counts reachable from s = 1: s = 1 and even s."""
-    return _build_step_table(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
+def _reachable_law(K: int) -> tuple[np.ndarray, ...]:
+    """`_law_of` the counts reachable from s = 1: s = 1 and even s."""
+    return _law_of(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
 
 
-def _step_counts(K: int, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Advance a batch of trials one step under uniformly random pairings.
+def _step(K: int, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Advance an occupancy vector one step under uniformly random pairings.
 
-    Each trial draws its infected-infected pair count m from the exact law
-    by one uniform and one search of the cumulative table, and ends with
-    2(s - m) infected.
+    counts[s] trials hold s infected qubits.  The trials at each occupied s
+    split over the pair count m by one multinomial draw from the exact law,
+    and each share moves to 2(s - m).  Rows are padded to the widest support
+    with zeros that stand for the row's last m, so the multinomial's last
+    category, which takes whatever rounding leaves, is a valid count.
     """
-    table = _reachable_table(K)
-    r = table.row_of[s]
-    if (r < 0).any():  # odd s > 1 is never reached from s = 1
-        table = _build_step_table(K, np.unique(s))
-        r = table.row_of[s]
-    flat = np.searchsorted(table.cdf, r + rng.random(s.shape[0]), side="right")
-    return 2 * (s - flat - table.base[r])
+    occupied = np.flatnonzero(counts)
+    row_of, starts, m_lo, p = _reachable_law(K)
+    if (row_of[occupied] < 0).any():  # odd s > 1 is never reached from s = 1
+        row_of, starts, m_lo, p = _law_of(K, occupied)
+    r = row_of[occupied]
+    first, last = starts[r], starts[r + 1] - 1
+    flat = first[:, None] + np.arange((last - first).max() + 1)
+    pad = flat > last[:, None]
+    np.minimum(flat, last[:, None], out=flat)
+    pvals = p[flat]
+    pvals[pad] = 0.0
+    draws = rng.multinomial(counts[occupied], pvals)
+    new = (2 * (occupied - m_lo[r] + first))[:, None] - 2 * flat  # 2(s - m)
+    return np.bincount(new.ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
 
 
 def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> EpidemicTrajectory:
     """Monte-Carlo growth of a single-qubit perturbation, s(0) = 1.
 
-    Trials are processed in fixed-size chunks, each with its own RNG
-    stream derived from (seed, chunk index), so the result is independent
-    of how chunks are scheduled.
+    The trials are held as an occupancy vector, counts[s] trials with s
+    infected, advanced by `_step` on one RNG stream.  Memory is O(K)
+    whatever the number of trials, and the sums of s and s^2 are dot
+    products of that vector, exact while trials * K^2 < 2^53.
     """
     if K % 2 or K < 2:
         raise ValueError(f"K must be even and >= 2, got {K}")
@@ -171,20 +165,16 @@ def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> Epidemi
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    total = np.zeros(max_steps + 1)
-    total_sq = np.zeros(max_steps + 1)
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        rng = np.random.default_rng([seed, start // _CHUNK])
-        s = np.ones(n, dtype=np.int64)
-        total[0] += float(s.sum())
-        total_sq[0] += float((s * s).sum())
-        for tau in range(1, max_steps + 1):
-            s = _step_counts(K, s, rng)
-            total[tau] += float(s.sum())
-            total_sq[tau] += float((s * s).sum())
-    mean = total / trials
-    var = np.maximum(total_sq / trials - mean**2, 0.0)
+    _reachable_law(K)  # first, so that the arrays below add nothing to its peak at large K
+    rng = np.random.default_rng(seed)
+    powers = np.arange(K + 1.0) ** np.array([[1], [2]])  # rows s and s^2
+    counts = np.bincount([1], minlength=K + 1) * trials  # every trial starts at s = 1
+    sums = np.empty((max_steps + 1, 2))
+    for tau in range(max_steps + 1):
+        counts = _step(K, counts, rng) if tau else counts
+        sums[tau] = powers @ counts
+    mean = sums[:, 0] / trials
+    var = np.maximum(sums[:, 1] / trials - mean**2, 0.0)
     stderr = np.sqrt(var / trials)
     return EpidemicTrajectory(K, np.arange(max_steps + 1), mean, stderr, trials, seed)
 
@@ -198,9 +188,7 @@ def scrambling_time(K: int) -> float:
 
 def logistic_size(tau, K: int):
     """Affected fraction s(tau)/K on the logistic curve with tau* = ln K."""
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
-    x = np.asarray(tau, dtype=float) - math.log(K)
+    x = np.asarray(tau, dtype=float) - scrambling_time(K)
     out = expit(x)
     return float(out) if np.isscalar(tau) else out
 
@@ -208,8 +196,6 @@ def logistic_size(tau, K: int):
 def precursor_complexity(tau, K: int):
     """K ln(1 + e^(tau - tau*)): exponential growth before the scrambling
     time, linear after (slope K)."""
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
-    x = np.asarray(tau, dtype=float) - math.log(K)
+    x = np.asarray(tau, dtype=float) - scrambling_time(K)
     out = K * np.logaddexp(0.0, x)
     return float(out) if np.isscalar(tau) else out

@@ -81,10 +81,17 @@ def test_scramble_k1000_is_byte_identical_and_exact_at_tau2(tmp_path):
     assert abs(float(row[1]) - (2 + 2 * p4)) < 5 * stderr
 
 
-@pytest.mark.parametrize("flags", [["--qubits", "7"], ["--max-steps", "-1"]])
-def test_scramble_bad_size_exits_1_with_message(tmp_path, capsys, flags):
-    assert main(["scramble", *flags, "--trials", "10", "--outdir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+@pytest.mark.parametrize("flags", [["--qubits", "7"], ["--max-steps", "-1"], ["--trials", "0"]])
+def test_scramble_bad_input_exits_2_with_message(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["scramble", *flags, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"error: argument {flags[0]}: " in capsys.readouterr().err
+    (tmp_path / "c.cfg").write_text(f"{flags[0][2:]}={flags[1]}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["scramble", "--config", str(tmp_path / "c.cfg"), "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: --config: bad value for {flags[0]}")
 
 
 def test_curvature_csv_determinism(tmp_path):
@@ -349,6 +356,8 @@ def _sample_value(opt) -> str:
         return next(c for c in opt.choices if c != opt.default)
     if opt.type is int:
         return str((opt.default or 0) + 3)
+    if opt.type in (cli.even_count, cli.positive_int, cli.nonnegative_int):
+        return str(opt.default + 2)
     if opt.type in (cli.finite, cli.finite_or_inf):
         return "2.5"
     return "elsewhere"

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
+from complexitylab import scrambling
 from complexitylab.scrambling import (
     _pairing_law,
-    _reachable_table,
-    _step_counts,
+    _reachable_law,
+    _step,
     circuit_complexity_linear,
     expected_step_increment,
     logistic_size,
@@ -58,9 +59,23 @@ def test_one_step_exact_enumeration_k4():
     assert expected_step_increment(4, 1) == 1.0
 
 
+def occupancy(K, s, n):
+    """The occupancy vector of n trials that all hold s infected qubits."""
+    counts = np.zeros(K + 1, dtype=np.int64)
+    counts[s] = n
+    return counts
+
+
+def step_trials(K, s, n, rng):
+    """One `_step` of n trials from s, as the sorted per-trial counts it leaves."""
+    out = _step(K, occupancy(K, s, n), rng)
+    assert out.sum() == n
+    return np.repeat(np.arange(K + 1), out)
+
+
 def test_one_step_simulator_is_deterministic_at_s1_k4():
     rng = np.random.default_rng(0)
-    out = _step_counts(4, np.ones(500, dtype=np.int64), rng)
+    out = step_trials(4, 1, 500, rng)
     assert set(out.tolist()) == {2}
 
 
@@ -69,7 +84,7 @@ def test_one_step_increment_matches_formula(s):
     K = 10
     rng = np.random.default_rng(s)
     n = 20_000
-    new = _step_counts(K, np.full(n, s, dtype=np.int64), rng)
+    new = step_trials(K, s, n, rng)  # odd s takes the rows built on demand
     inc = new - s
     stderr = inc.std(ddof=1) / math.sqrt(n)
     assert abs(inc.mean() - expected_step_increment(K, s)) < 3 * stderr
@@ -231,17 +246,20 @@ def test_law_equals_pairing_enumeration(K, n_pairings):
 
 @pytest.mark.parametrize("K", [4, 6, 8])
 def test_sampler_table_equals_pairing_enumeration(K):
-    # the reachable rows, s = 1 and even s, read back from the cumulative table
-    table = _reachable_table(K)
-    assert np.flatnonzero(table.row_of >= 0).tolist() == [1] + list(range(2, K + 1, 2))
-    for s in np.flatnonzero(table.row_of >= 0):
-        r = table.row_of[s]
-        law, _ = enumerated_law(K, s)
-        flat = np.arange(min(law), max(law) + 1) - table.base[r]
-        cdf = table.cdf[flat] - r
-        assert np.allclose(np.diff(cdf, prepend=0.0), [float(law[m]) for m in sorted(law)], rtol=0, atol=1e-12)
-        assert cdf[-1] == 1.0
-        assert flat[0] == 0 or table.cdf[flat[0] - 1] == r  # the previous row ends where this one starts
+    # the cached rows are the reachable counts, s = 1 and even s; one step
+    # from each lands on {2(s - m)} with the enumerated frequencies
+    row_of = _reachable_law(K)[0]
+    assert np.flatnonzero(row_of >= 0).tolist() == [1] + list(range(2, K + 1, 2))
+    n = 20_000
+    for s in np.flatnonzero(row_of >= 0):
+        exact, _ = enumerated_law(K, s)
+        ms = sorted(exact)
+        out = _step(K, occupancy(K, s, n), np.random.default_rng([K, s]))
+        assert out.sum() == n
+        assert set(np.flatnonzero(out).tolist()) == {2 * (s - m) for m in ms}
+        if len(ms) > 1:
+            observed = [out[2 * (s - m)] for m in ms]
+            assert stats.chisquare(observed, [n * float(exact[m]) for m in ms]).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("K", [10, 1000])
@@ -259,11 +277,10 @@ def test_law_mean_is_exact_increment(K):
 def test_one_step_draws_chi_square(K, s):
     law = closed_form_law(K, s)
     n = 200_000
-    new = _step_counts(K, np.full(n, s, dtype=np.int64), np.random.default_rng(K + s))
-    m = s - new // 2
+    out = _step(K, occupancy(K, s, n), np.random.default_rng(K + s))
     ms = sorted(law)
-    observed = np.bincount(m - ms[0], minlength=len(ms))
-    assert observed.size == len(ms)
+    observed = out[2 * (s - np.array(ms))]
+    assert observed.sum() == out.sum() == n  # no draw outside the support
     expected = n * np.array([float(law[k]) for k in ms])
     # pool the bins expected to hold fewer than 5 draws into their neighbours
     keep = expected >= 5
@@ -281,9 +298,9 @@ def test_sampler_matches_argsort_reference_k1000(s):
     ref = np.concatenate(
         [argsort_step_counts(K, np.full(4096, s, dtype=np.int64), np.random.default_rng([7, i])) for i in range(n // 4096)]
     )
-    new = _step_counts(K, np.full(n, s, dtype=np.int64), np.random.default_rng(7))
-    values = np.union1d(ref, new)
-    table = np.array([[np.sum(ref == v) for v in values], [np.sum(new == v) for v in values]])
+    new = _step(K, occupancy(K, s, n), np.random.default_rng(7))
+    values = np.union1d(ref, np.flatnonzero(new))
+    table = np.array([[np.sum(ref == v) for v in values], new[values]])
     table = table[:, table.sum(axis=0) >= 10]
     assert stats.chi2_contingency(table).pvalue > 1e-4
 
@@ -298,6 +315,39 @@ def test_mc_matches_exact_chain(K, steps, trials, seed):
         else:
             z = (traj.mean_infected[tau] - mean[tau]) / math.sqrt(var[tau] / trials)
             assert abs(z) < 5, (tau, z)
+
+
+POOLED = ((10, 12, 100_000), (1000, 14, 4096))
+
+
+def pooled_max_z(K, steps, trials, seeds=range(100)):
+    """Largest |z| over tau, with var > 0, of the mean pooled over seeds
+    against the exact chain; a zero-variance tau must match exactly."""
+    mean, var = chain_moments(K, steps)
+    pooled = np.mean([simulate_epidemic(K, steps, trials, seed).mean_infected for seed in seeds], axis=0)
+    spread = var > 0
+    assert np.array_equal(pooled[~spread], mean[~spread])
+    return float(np.max(np.abs(pooled - mean)[spread] / np.sqrt(var[spread] / (trials * len(seeds)))))
+
+
+@pytest.mark.parametrize("K, steps, trials", POOLED)
+def test_pooled_mc_matches_exact_chain(K, steps, trials):
+    assert pooled_max_z(K, steps, trials) < 4
+
+
+@pytest.mark.parametrize("K, steps, trials", POOLED)
+def test_pooled_chain_test_rejects_a_biased_law(K, steps, trials, monkeypatch):
+    def biased(K, rows):
+        starts, m_lo, p = _pairing_law(K, rows)
+        q = p**1.02
+        return starts, m_lo, q / np.repeat(np.add.reduceat(q, starts[:-1]), np.diff(starts))
+
+    monkeypatch.setattr(scrambling, "_pairing_law", biased)
+    _reachable_law.cache_clear()
+    try:
+        assert pooled_max_z(K, steps, trials) >= 4
+    finally:
+        _reachable_law.cache_clear()
 
 
 def test_exact_chain_doubles_per_step_at_k1000():
