@@ -20,7 +20,7 @@ from . import counting, geometry, holography, scrambling
 from . import thermofield as tfd
 from .gates import phase_fix, random_word, sphere_growth, two_qubit_clifford_gateset
 from .geometry import PenaltySchedule, curvature_ensemble, loschmidt, sample_orthogonal_pair
-from .paulis import sample_klocal
+from .paulis import evolve, sample_klocal
 
 
 def check_wdw_rate_identity() -> str:
@@ -143,16 +143,10 @@ def check_curvature_ensemble() -> str:
     return f"null mean = {flat.mean:.1e}, negative at {-neg.mean / neg.stderr:.0f} sigma, slope = {slope:.2f}"
 
 
-def _expm_antihermitian(A: np.ndarray) -> np.ndarray:
-    """exp(A) = V e^(iw) V^dag for anti-Hermitian A, from the eigenpairs (w, V) of -iA."""
-    w, V = np.linalg.eigh(-1j * A)
-    return (V * np.exp(1j * w)) @ V.conj().T
-
-
 def _loschmidt_error(H, D, t, dtheta) -> float:
     lam = loschmidt(H, D, t, dtheta)
-    exact = _expm_antihermitian(1j * H * t) @ _expm_antihermitian(-1j * (H + D * dtheta) * t)
-    return float(np.max(np.abs(_expm_antihermitian(lam) - exact)))
+    exact = evolve(H, -t) @ evolve(H + D * dtheta, t)
+    return float(np.max(np.abs(evolve(1j * lam, 1.0) - exact)))  # exp(lam), lam anti-Hermitian
 
 
 def check_loschmidt_orders() -> str:
@@ -291,7 +285,7 @@ CHECKS: list[tuple[str, Callable[[], str]]] = [
 ]
 
 
-def run_all(verbose: bool = True) -> list[tuple[str, bool, str]]:
+def run_all() -> list[tuple[str, bool, str]]:
     """Run every check; print one PASS/FAIL line per criterion."""
     results = []
     for name, fn in CHECKS:
@@ -304,6 +298,5 @@ def run_all(verbose: bool = True) -> list[tuple[str, bool, str]]:
             ok = False
         dt = time.perf_counter() - t0
         results.append((name, ok, detail))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name:28s} [{dt:6.2f} s]  {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:28s} [{dt:6.2f} s]  {detail}")
     return results

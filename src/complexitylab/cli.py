@@ -1,9 +1,9 @@
 """Command-line driver: one subcommand per experiment.
 
-Every run writes one CSV per experiment plus a ``<name>_summary.txt`` of
-``key: value`` lines (seed, wall time, headline numbers).  CSV bytes are
-identical for identical (flags, seed): floats are printed with 17
-significant digits and newline-terminated lines.
+Each handler returns ``(header, rows, summary)``; ``main`` writes them as
+``<name>.csv`` and ``<name>_summary.txt`` (``key: value`` lines of seed,
+summary and wall time, also printed).  Identical (flags, seed) give identical
+CSV bytes: floats are printed with 17 significant digits, lines end in newlines.
 
 ``--config FILE`` merges simple ``key=value`` lines (one per line, ``#``
 comments allowed); explicit command-line flags win.  Flags, config values
@@ -40,6 +40,7 @@ OUTDIR_ENV = "COMPLEXITYLAB_OUTDIR"
 # frontier times the gate count stays within the cap, which stops the
 # default 4-pair set after depth 6 (156,865 elements).
 BFS_MAX_ELEMENTS = 1_000_000
+Result = tuple[list[str], list[tuple], dict]
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -62,12 +63,6 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_summary(path: str, entries: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}: {_fmt(value)}\n")
 
 
 def _parse_spectrum(text: str) -> np.ndarray:
@@ -106,16 +101,15 @@ def _black_hole_from(opts) -> holography.BlackHoleSpec:
 # --- subcommand handlers ----------------------------------------------------
 
 
-def cmd_scramble(opts, outdir: str) -> tuple[int, dict]:
+def cmd_scramble(opts) -> Result:
     K = opts.qubits
     traj = scrambling.simulate_epidemic(K, opts.max_steps, opts.trials, opts.seed)
     rows = [
         (tau, mean, err, K * scrambling.logistic_size(float(tau), K), scrambling.precursor_complexity(float(tau), K))
         for tau, mean, err in traj.steps()
     ]
-    write_csv(os.path.join(outdir, "scramble.csv"), ["tau", "mc_mean", "mc_stderr", "logistic", "precursor"], rows)
     gap = max(abs(r[1] - r[3]) / K for r in rows)
-    return 0, {
+    return ["tau", "mc_mean", "mc_stderr", "logistic", "precursor"], rows, {
         "qubits": K,
         "trials": opts.trials,
         "scrambling_time": scrambling.scrambling_time(K),
@@ -132,12 +126,10 @@ def _build_gateset(opts):
     return random_inverse_closed_gateset(2, opts.pairs, opts.seed, opts.epsilon)
 
 
-def cmd_bfs(opts, outdir: str) -> tuple[int, dict]:
+def cmd_bfs(opts) -> Result:
     gs = _build_gateset(opts)
     target = _read_target_matrix(opts.target, gs.dim) if opts.target else None
     ball = sphere_growth(gs, opts.max_depth, BFS_MAX_ELEMENTS)
-    rows = list(enumerate(ball.counts))
-    write_csv(os.path.join(outdir, "bfs.csv"), ["depth", "count"], rows)
     summary = {
         "gateset": opts.gateset,
         "gates": len(gs.gates),
@@ -150,18 +142,14 @@ def cmd_bfs(opts, outdir: str) -> tuple[int, dict]:
         max_depth = len(ball.counts) - 1 if ball.truncated else opts.max_depth
         depth = bfs_complexity(target, gs, max_depth, ball=ball)
         summary["target_depth"] = "not-found" if depth is None else depth
-    return 0, summary
+    return ["depth", "count"], list(enumerate(ball.counts)), summary
 
 
-def cmd_curvature(opts, outdir: str) -> tuple[int, dict]:
+def cmd_curvature(opts) -> Result:
     schedule = PenaltySchedule(k=opts.penalty_k, c=opts.penalty_c)
     result = curvature_ensemble(opts.qubits, schedule, opts.trials, opts.seed)
-    write_csv(
-        os.path.join(outdir, "curvature.csv"),
-        ["K", "mean_R", "stderr", "trace_ratio"],
-        [(opts.qubits, result.mean, result.stderr, result.trace_ratio_mean)],
-    )
-    return 0, {
+    rows = [(opts.qubits, result.mean, result.stderr, result.trace_ratio_mean)]
+    return ["K", "mean_R", "stderr", "trace_ratio"], rows, {
         "qubits": opts.qubits,
         "penalty_c": opts.penalty_c,
         "trials": opts.trials,
@@ -171,14 +159,13 @@ def cmd_curvature(opts, outdir: str) -> tuple[int, dict]:
     }
 
 
-def cmd_counting(opts, outdir: str) -> tuple[int, dict]:
+def cmd_counting(opts) -> Result:
     report = counting.counting_report(opts.qubits, opts.epsilon)
-    header = [f.name for f in dataclasses.fields(report)]
-    write_csv(os.path.join(outdir, "counting.csv"), header, [dataclasses.astuple(report)])
-    return 0, {"qubits": report.K, "epsilon": report.epsilon, "c_max": report.c_max}
+    summary = {"qubits": report.K, "epsilon": report.epsilon, "c_max": report.c_max}
+    return [f.name for f in dataclasses.fields(report)], [dataclasses.astuple(report)], summary
 
 
-def cmd_tfd(opts, outdir: str) -> tuple[int, dict]:
+def cmd_tfd(opts) -> Result:
     spectrum = _parse_spectrum(opts.spectrum)
     state = tfd.tfd(spectrum, opts.beta)
     psi = tfd.evolve_tfd(state, opts.tl, opts.tr, opts.sign)
@@ -203,8 +190,7 @@ def cmd_tfd(opts, outdir: str) -> tuple[int, dict]:
         proj[i, i] = 1.0
         c = tfd.two_sided_correlator(psi, proj, proj, dims=state.dims)
         rows.append((f"corr_P{i}P{i}_re", c.real))
-    write_csv(os.path.join(outdir, "tfd.csv"), ["quantity", "value"], rows)
-    return 0, {
+    return ["quantity", "value"], rows, {
         "beta": opts.beta,
         "levels": len(spectrum),
         "sign": opts.sign,
@@ -213,7 +199,7 @@ def cmd_tfd(opts, outdir: str) -> tuple[int, dict]:
     }
 
 
-def cmd_wormhole(opts, outdir: str) -> tuple[int, dict]:
+def cmd_wormhole(opts) -> Result:
     spec = _black_hole_from(opts)
     points = holography.volume_curve(
         spec, eta_max=opts.eta_max, eta_min=opts.eta_min, points=opts.egrid_points
@@ -222,11 +208,10 @@ def cmd_wormhole(opts, outdir: str) -> tuple[int, dict]:
         (p.E, p.r_turn, spec.omega * p.interior_volume_per_sphere, p.boundary_time_sum)
         for p in points
     ]
-    write_csv(os.path.join(outdir, "wormhole.csv"), ["E", "r_turn", "volume", "t_sum"], rows)
     r_m, v_d = holography.critical_surface(spec)
     tail = rows[-max(4, opts.egrid_points // 4) :]
     slope = float(np.polyfit([r[3] for r in tail], [r[2] for r in tail], 1)[0])
-    return 0, {
+    return ["E", "r_turn", "volume", "t_sum"], rows, {
         "dim": spec.d,
         "mu": spec.mu,
         "mass": spec.mass,
@@ -238,16 +223,12 @@ def cmd_wormhole(opts, outdir: str) -> tuple[int, dict]:
     }
 
 
-def cmd_wdw(opts, outdir: str) -> tuple[int, dict]:
+def cmd_wdw(opts) -> Result:
     spec = _black_hole_from(opts)
     rate = holography.wdw_action_rate(spec)
     lloyd = holography.lloyd_bound(spec, hbar=opts.hbar)
-    write_csv(
-        os.path.join(outdir, "wdw.csv"),
-        ["d", "mu", "M", "bulk_rate", "boundary_rate", "total_rate", "lloyd_saturation"],
-        [(spec.d, spec.mu, spec.mass, rate.bulk, rate.boundary, rate.total, lloyd.saturation)],
-    )
-    return 0, {
+    rows = [(spec.d, spec.mu, spec.mass, rate.bulk, rate.boundary, rate.total, lloyd.saturation)]
+    return ["d", "mu", "M", "bulk_rate", "boundary_rate", "total_rate", "lloyd_saturation"], rows, {
         "dim": spec.d,
         "mu": spec.mu,
         "mass": spec.mass,
@@ -258,18 +239,14 @@ def cmd_wdw(opts, outdir: str) -> tuple[int, dict]:
     }
 
 
-def cmd_paper_suite(opts, outdir: str) -> tuple[int, dict]:
-    results = acceptance.run_all(verbose=True)
-    write_csv(
-        os.path.join(outdir, "paper_suite.csv"),
-        ["criterion", "status", "detail"],
-        [(name, "PASS" if ok else "FAIL", detail.replace(",", ";")) for name, ok, detail in results],
-    )
+def cmd_paper_suite(opts) -> Result:
+    results = acceptance.run_all()
+    rows = [(name, "PASS" if ok else "FAIL", detail.replace(",", ";")) for name, ok, detail in results]
     failed = [name for name, ok, _ in results if not ok]
     summary = {"checks": len(results), "failed": len(failed)}
     if failed:
         summary["failing"] = ";".join(failed)
-    return (1 if failed else 0), summary
+    return ["criterion", "status", "detail"], rows, summary
 
 
 # --- option table -----------------------------------------------------------
@@ -288,9 +265,11 @@ class Option(NamedTuple):
 
 
 class Command(NamedTuple):
-    """One subcommand: its handler, one-line help, --help description and options."""
+    """One subcommand: its handler, one-line help, --help description and
+    options.  The handler returns ``(header, rows, summary)``: the CSV header
+    and rows and the summary entries; a nonzero ``summary["failed"]`` exits 1."""
 
-    handler: Callable[[argparse.Namespace, str], tuple[int, dict]]
+    handler: Callable[[argparse.Namespace], Result]
     help: str
     description: str
     options: tuple[Option, ...] = ()
@@ -507,19 +486,19 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     start = time.perf_counter()
     try:
-        code, summary = COMMANDS[args.command].handler(args, args.outdir)
+        header, rows, summary = COMMANDS[args.command].handler(args)
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    wall = time.perf_counter() - start
-    entries = {"command": args.command, "seed": args.seed}
-    entries.update(summary)
-    entries["wall_time_s"] = f"{wall:.3f}"
     name = args.command.replace("-", "_")
-    write_summary(os.path.join(args.outdir, f"{name}_summary.txt"), entries)
-    for key, value in entries.items():
-        print(f"{key}: {_fmt(value)}")
-    return code
+    write_csv(os.path.join(args.outdir, f"{name}.csv"), header, rows)
+    entries = {"command": args.command, "seed": args.seed, **summary}
+    entries["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
+    text = "".join(f"{key}: {_fmt(value)}\n" for key, value in entries.items())
+    with open(os.path.join(args.outdir, f"{name}_summary.txt"), "w", newline="") as fh:
+        fh.write(text)
+    print(text, end="")
+    return 1 if summary.get("failed") else 0
 
 
 if __name__ == "__main__":

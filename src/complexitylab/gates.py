@@ -85,6 +85,8 @@ class GateSet:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not self.gates:
+            raise ValueError("gate set is empty")
         dim = 1 << self.K
         object.__setattr__(self, "gates", tuple((str(l), np.asarray(g, dtype=complex)) for l, g in self.gates))
         for label, g in self.gates:
@@ -230,6 +232,8 @@ def sphere_growth(gs: GateSet, max_depth: int, max_elements: int | None = None) 
     were new is not grown; the ball keeps its complete layers and is marked
     truncated, so the reported depths stay exact.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     return _grow(gs, max_depth, max_elements)
 
 
@@ -246,6 +250,8 @@ def bfs_complexity(
     short-circuits the search.  Otherwise the search grows its own ball and
     stops at the first block of products that reaches the target.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     target = np.asarray(target, dtype=complex)
     if target.shape != (gs.dim, gs.dim):
         raise ValueError(f"target shape {target.shape} does not match dim {gs.dim}")

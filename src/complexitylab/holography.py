@@ -279,6 +279,8 @@ def volume_curve(
     """Slices on a geometric grid E = E_c (1 - eta) approaching criticality."""
     if points < 2:
         raise ValueError("need at least 2 grid points")
+    if not 0 < eta_min < eta_max <= 1:
+        raise ValueError(f"need 0 < eta_min < eta_max <= 1, got eta_min {eta_min}, eta_max {eta_max}")
     e_c = critical_energy(spec)
     etas = np.geomspace(eta_max, eta_min, points)
     return [interior_volume(spec, e_c * (1.0 - eta), r_cut=r_cut, tol=tol) for eta in etas]

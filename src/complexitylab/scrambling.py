@@ -109,21 +109,13 @@ def _pairing_law(K: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, m_lo, p
 
 
-def _law_of(K: int, rows) -> tuple[np.ndarray, ...]:
-    """(row_of, starts, m_lo, p): read-only rows of `_pairing_law` and the row of each s, -1 where none."""
-    rows = np.asarray(rows, dtype=np.int64)
-    row_of = np.full(K + 1, -1, dtype=np.int64)
-    row_of[rows] = np.arange(len(rows))
-    law = (row_of, *_pairing_law(K, rows))
+@functools.lru_cache(maxsize=4)
+def _reachable_law(K: int) -> tuple[np.ndarray, ...]:
+    """Read-only `_pairing_law` rows of s = 1 and even s, the counts reachable from s = 1; s is row s // 2."""
+    law = _pairing_law(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
     for a in law:
         a.flags.writeable = False
     return law
-
-
-@functools.lru_cache(maxsize=4)
-def _reachable_law(K: int) -> tuple[np.ndarray, ...]:
-    """`_law_of` the counts reachable from s = 1: s = 1 and even s."""
-    return _law_of(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
 
 
 def _step(K: int, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -134,12 +126,13 @@ def _step(K: int, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     and each share moves to 2(s - m).  Rows are padded to the widest support
     with zeros that stand for the row's last m, so the multinomial's last
     category, which takes whatever rounding leaves, is a valid count.
+    Only the counts reachable from s = 1 have rows: s = 1 and even s.
     """
     occupied = np.flatnonzero(counts)
-    row_of, starts, m_lo, p = _reachable_law(K)
-    if (row_of[occupied] < 0).any():  # odd s > 1 is never reached from s = 1
-        row_of, starts, m_lo, p = _law_of(K, occupied)
-    r = row_of[occupied]
+    if occupied[0] == 0 or np.count_nonzero(occupied & 1) > (occupied[0] == 1):  # 0 or an odd s > 1
+        raise ValueError(f"occupied counts {occupied.tolist()} are not all 1 or even and >= 2")
+    r = occupied >> 1
+    starts, m_lo, p = _reachable_law(K)
     first, last = starts[r], starts[r + 1] - 1
     flat = first[:, None] + np.arange((last - first).max() + 1)
     pad = flat > last[:, None]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from complexitylab import cli, gates, holography
+from complexitylab import acceptance, cli, gates, holography
 from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
 
 
@@ -332,6 +332,35 @@ def test_tfd_beta_inf_is_the_ground_state(tmp_path):
 def test_bfs_zero_epsilon_exits_1(tmp_path, capsys):
     assert main(["bfs", "--epsilon", "0", "--gateset", "cnot", "--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: epsilon must be finite and > 0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bfs", "--gateset", "random", "--pairs", "0"], "gate set is empty"),
+        (["bfs", "--max-depth", "-1"], "max_depth must be >= 0"),
+        (["wormhole", "--eta-min", "0.2"], "need 0 < eta_min < eta_max <= 1"),
+    ],
+)
+def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, capsys):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_paper_suite_check_exits_1(tmp_path, monkeypatch, capsys):
+    def failing():
+        raise AssertionError("injected, failure")
+
+    monkeypatch.setattr(acceptance, "CHECKS", acceptance.CHECKS[:1] + [("injected", failing)])
+    assert main(["paper-suite", "--outdir", str(tmp_path)]) == 1
+    rows = read(tmp_path / "paper_suite.csv").decode().splitlines()
+    assert rows[0] == "criterion,status,detail"
+    assert rows[1].startswith("wdw-rate-identity,PASS,")
+    assert rows[2] == "injected,FAIL,injected; failure"
+    summary = read(tmp_path / "paper_suite_summary.txt").decode()
+    assert "checks: 2\nfailed: 1\nfailing: injected\n" in summary
+    assert summary in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

@@ -82,6 +82,11 @@ def test_gateset_rejects_wrong_shape():
         GateSet(2, (("h", np.eye(2, dtype=complex)),))
 
 
+def test_gateset_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="gate set is empty"):
+        GateSet(2, ())
+
+
 def test_bfs_identity_and_generators():
     gs = cnot_pair_gateset()
     assert bfs_complexity(np.eye(4, dtype=complex), gs, 4) == 0
@@ -113,6 +118,16 @@ def test_bfs_rejects_bad_target():
         bfs_complexity(np.eye(8, dtype=complex), gs, 2)
     with pytest.raises(ValueError):
         bfs_complexity(np.ones((4, 4)), gs, 2)
+
+
+def test_negative_depth_is_rejected_with_or_without_a_ball():
+    gs = cnot_pair_gateset()
+    ball = sphere_growth(gs, 3)
+    with pytest.raises(ValueError, match="max_depth"):
+        sphere_growth(gs, -1)
+    for prebuilt in (None, ball):
+        with pytest.raises(ValueError, match="max_depth"):
+            bfs_complexity(np.eye(4, dtype=complex), gs, -1, ball=prebuilt)
 
 
 def test_relative_complexity_axioms_sampled(clifford_ball):

@@ -144,6 +144,12 @@ def test_interior_volume_rejects_supercritical():
         interior_volume(spec, e_c / 2, r_cut=spec.r_h / 2)
 
 
+@pytest.mark.parametrize("eta_min, eta_max", [(0.2, 0.1), (1e-3, 1e-3), (0.0, 0.1), (1e-5, 1.5)])
+def test_volume_curve_rejects_a_bad_eta_range(eta_min, eta_max):
+    with pytest.raises(ValueError, match="eta_min < eta_max"):
+        volume_curve(BlackHoleSpec(d=4, mu=100.0), eta_max=eta_max, eta_min=eta_min)
+
+
 def test_interior_volume_monotone_and_divergent():
     spec = BlackHoleSpec(d=4, mu=100.0)
     points = volume_curve(spec, eta_max=1e-1, eta_min=1e-5, points=13)

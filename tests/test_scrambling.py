@@ -79,15 +79,23 @@ def test_one_step_simulator_is_deterministic_at_s1_k4():
     assert set(out.tolist()) == {2}
 
 
-@pytest.mark.parametrize("s", [2, 3, 5, 8])
+@pytest.mark.parametrize("s", [2, 8])
 def test_one_step_increment_matches_formula(s):
     K = 10
     rng = np.random.default_rng(s)
     n = 20_000
-    new = step_trials(K, s, n, rng)  # odd s takes the rows built on demand
+    new = step_trials(K, s, n, rng)
     inc = new - s
     stderr = inc.std(ddof=1) / math.sqrt(n)
     assert abs(inc.mean() - expected_step_increment(K, s)) < 3 * stderr
+
+
+@pytest.mark.parametrize("s", [0, 3, 5, 9])
+def test_step_rejects_counts_unreachable_from_s1(s):
+    counts = occupancy(10, 2, 100)
+    counts[s] = 100
+    with pytest.raises(ValueError, match="not all 1 or even"):
+        _step(10, counts, np.random.default_rng(0))
 
 
 def test_k2_fully_infected_after_one_step():
@@ -246,14 +254,19 @@ def test_law_equals_pairing_enumeration(K, n_pairings):
 
 @pytest.mark.parametrize("K", [4, 6, 8])
 def test_sampler_table_equals_pairing_enumeration(K):
-    # the cached rows are the reachable counts, s = 1 and even s; one step
-    # from each lands on {2(s - m)} with the enumerated frequencies
-    row_of = _reachable_law(K)[0]
-    assert np.flatnonzero(row_of >= 0).tolist() == [1] + list(range(2, K + 1, 2))
+    # the cached rows are the reachable counts, s = 1 and even s, s at row
+    # s // 2; one step from each lands on {2(s - m)} with the enumerated
+    # frequencies
+    starts, m_lo, p = _reachable_law(K)
+    reachable = [1] + list(range(2, K + 1, 2))
+    assert len(starts) == len(reachable) + 1
     n = 20_000
-    for s in np.flatnonzero(row_of >= 0):
+    for s in reachable:
         exact, _ = enumerated_law(K, s)
         ms = sorted(exact)
+        r = s // 2
+        assert list(range(m_lo[r], m_lo[r] + starts[r + 1] - starts[r])) == ms
+        assert np.allclose(p[starts[r] : starts[r + 1]], [float(exact[m]) for m in ms], rtol=0, atol=1e-12)
         out = _step(K, occupancy(K, s, n), np.random.default_rng([K, s]))
         assert out.sum() == n
         assert set(np.flatnonzero(out).tolist()) == {2 * (s - m) for m in ms}
