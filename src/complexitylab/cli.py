@@ -300,6 +300,8 @@ def _checked_int(name: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
 
 
 even_count = _checked_int("even_count", lambda v: v >= 2 and v % 2 == 0)
+even_count_from_4 = _checked_int("even_count_from_4", lambda v: v >= 4 and v % 2 == 0)
+grid_points = _checked_int("grid_points", lambda v: v >= 2)
 positive_int = _checked_int("positive_int", lambda v: v >= 1)
 nonnegative_int = _checked_int("nonnegative_int", lambda v: v >= 0)
 
@@ -344,9 +346,9 @@ COMMANDS = {
         "x gates) is not grown, and the ball is reported truncated.",
         (
             Option("--gateset", str, "clifford2", "gate set", ("cnot", "clifford2", "random")),
-            Option("--max-depth", int, 12, "BFS depth cap"),
+            Option("--max-depth", nonnegative_int, 12, "BFS depth cap"),
             Option("--epsilon", finite, 1e-6, "dedup resolution"),
-            Option("--pairs", int, 4, "Haar gate pairs for --gateset random"),
+            Option("--pairs", positive_int, 4, "Haar gate pairs for --gateset random"),
             Option("--target", str, None, "CSV file of the target matrix, rows of re,im pairs"),
         ),
     ),
@@ -356,10 +358,10 @@ COMMANDS = {
         "over Gaussian 2-local pairs; negative for I(3) > 4/3 and the raw trace "
         "ratio scales like 1/K.",
         (
-            Option("--qubits", int, 8, "even qubit count K >= 4"),
+            Option("--qubits", even_count_from_4, 8, "even qubit count K >= 4"),
             Option("--penalty-c", finite, 1.0, "penalty prefactor c"),
-            Option("--penalty-k", int, 2, "locality threshold k"),
-            Option("--trials", int, 100, "ensemble size"),
+            Option("--penalty-k", positive_int, 2, "locality threshold k"),
+            Option("--trials", positive_int, 100, "ensemble size"),
         ),
     ),
     "counting": Command(
@@ -368,7 +370,7 @@ COMMANDS = {
         "pairing branching factor, maximum complexity 4^K(1/2+|ln eps|/ln K) and "
         "recurrence magnitudes, all as natural logs.",
         (
-            Option("--qubits", int, 4, "even qubit count K"),
+            Option("--qubits", even_count, 4, "even qubit count K >= 2"),
             Option("--epsilon", finite, 0.01, "resolution in (0,1)"),
         ),
     ),
@@ -393,7 +395,7 @@ COMMANDS = {
         "conserved energies approaching E_c; the volume grows linearly in t_l + t_r "
         "with slope Omega_(d-2) r_m^(d-2) sqrt|f(r_m)|.",
         _black_hole_options(mu=100.0) + (
-            Option("--egrid-points", int, 16, "energy grid size"),
+            Option("--egrid-points", grid_points, 16, "energy grid size >= 2"),
             Option("--eta-max", finite, 0.1, "largest 1 - E/E_c"),
             Option("--eta-min", finite, 1e-5, "smallest 1 - E/E_c"),
         ),

@@ -16,7 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+
+
+def gammaln(x):
+    """scipy.special.gammaln, imported on first call: importing this module loads no scipy."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def log_vol_su(N: int) -> float:

@@ -225,7 +225,8 @@ def sample_orthogonal_pair(K: int, seed: int, draw: int = 0) -> tuple[KLocalHami
 
 @dataclass(frozen=True)
 class CurvatureEnsemble:
-    """Ensemble mean of the sectional curvature and of the raw trace ratio."""
+    """Ensemble mean of the sectional curvature and of the raw trace ratio;
+    their standard errors are nan for a single trial."""
 
     mean: float
     stderr: float
@@ -256,11 +257,15 @@ def curvature_ensemble(
         # sequential sums in term order, bit for bit KLocalHamiltonian.coupling_norm_sq (h @ h sums pairwise)
         ratios[i] = 2.0 * table.commutator_norm_sq(h, d) / (sum((h * h).tolist()) * sum((d * d).tolist()))
     curvatures = prefactor * ratios
-    ddof = 1 if trials > 1 else 0
+
+    def stderr(x: np.ndarray) -> float:
+        # one sample cannot bound its error
+        return float(x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
+
     return CurvatureEnsemble(
         mean=float(curvatures.mean()),
-        stderr=float(curvatures.std(ddof=ddof) / math.sqrt(trials)),
+        stderr=stderr(curvatures),
         trace_ratio_mean=float(ratios.mean()),
-        trace_ratio_stderr=float(ratios.std(ddof=ddof) / math.sqrt(trials)),
+        trace_ratio_stderr=stderr(ratios),
         trials=trials,
     )

@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+
+def expit(x):
+    """scipy.special.expit, imported on first call: importing this module loads no scipy."""
+    from scipy.special import expit
+
+    return expit(x)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -128,8 +131,9 @@ def test_config_missing_file_exits_2(tmp_path):
 
 
 def test_numeric_failure_exits_1(tmp_path, capsys):
-    assert main(["curvature", "--qubits", "5", "--outdir", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    # an odd count exits 2 (usage error); the 10-qubit cap is checked by the library
+    assert main(["curvature", "--qubits", "12", "--outdir", str(tmp_path)]) == 1
+    assert "error: K=12 exceeds the cap of 10 qubits" in capsys.readouterr().err
 
 
 def test_counting_run(tmp_path):
@@ -236,6 +240,39 @@ def test_wormhole_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "volume integral did not converge: abserr 1, tol 1e-10 (injected failure)" in capsys.readouterr().err
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# Prints the scipy modules loaded by the code run before it, in a fresh process.
+SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def _fresh_python(code: str, cwd) -> str:
+    """Run ``code`` in a new interpreter that imports complexitylab from src/; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    assert _fresh_python(f"import complexitylab, complexitylab.cli; {SCIPY_LOADED}", tmp_path) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        (["bfs", "--gateset", "cnot"], False),
+        (["curvature", "--qubits", "4", "--trials", "5"], False),
+        (["tfd"], False),
+        (["wdw"], True),  # a command that calls brentq: the probe sees scipy when it is there
+    ],
+)
+def test_only_the_commands_that_call_scipy_load_it(argv, loads_scipy, tmp_path):
+    argv = argv + ["--outdir", str(tmp_path)]
+    code = f"from complexitylab.cli import main; assert main({argv!r}) == 0; {SCIPY_LOADED}"
+    loaded = _fresh_python(code, tmp_path).splitlines()[-1]
+    assert (loaded != "[]") == loads_scipy, loaded
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COMPLEXITYLAB_OUTDIR", str(tmp_path / "env_out"))
     assert main(["counting"]) == 0
@@ -337,8 +374,6 @@ def test_bfs_zero_epsilon_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["bfs", "--gateset", "random", "--pairs", "0"], "gate set is empty"),
-        (["bfs", "--max-depth", "-1"], "max_depth must be >= 0"),
         (["wormhole", "--eta-min", "0.2"], "need 0 < eta_min < eta_max <= 1"),
     ],
 )
@@ -346,6 +381,33 @@ def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, 
     assert main(argv + ["--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("bfs", "--pairs", "0"),
+        ("bfs", "--max-depth", "-1"),
+        ("curvature", "--trials", "0"),
+        ("curvature", "--penalty-k", "0"),
+        ("curvature", "--qubits", "2"),
+        ("curvature", "--qubits", "7"),
+        ("wormhole", "--egrid-points", "1"),
+        ("counting", "--qubits", "5"),
+    ],
+)
+def test_int_out_of_range_exits_2_from_flag_or_config(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--outdir", str(out)])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    (tmp_path / "c.cfg").write_text(f"{flag[2:]}={value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "c.cfg"), "--outdir", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: --config: bad value for {flag}")
+    assert not out.exists()
 
 
 def test_failing_paper_suite_check_exits_1(tmp_path, monkeypatch, capsys):
@@ -385,7 +447,7 @@ def _sample_value(opt) -> str:
         return next(c for c in opt.choices if c != opt.default)
     if opt.type is int:
         return str((opt.default or 0) + 3)
-    if opt.type in (cli.even_count, cli.positive_int, cli.nonnegative_int):
+    if opt.type in (cli.even_count, cli.even_count_from_4, cli.grid_points, cli.positive_int, cli.nonnegative_int):
         return str(opt.default + 2)
     if opt.type in (cli.finite, cli.finite_or_inf):
         return "2.5"

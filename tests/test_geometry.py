@@ -292,6 +292,7 @@ def test_curvature_ensemble_reproducible_and_consistent():
     single = curvature_ensemble(4, K2_SCHEDULE, trials=1, seed=51)
     hk, dk = sample_orthogonal_pair(4, seed=51, draw=0)
     assert single.mean == pytest.approx(sectional_curvature(hk, dk, K2_SCHEDULE), rel=1e-12)
+    assert math.isnan(single.stderr) and math.isnan(single.trace_ratio_stderr)
 
 
 @pytest.mark.parametrize("K", [4, 6])

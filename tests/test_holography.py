@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
+from complexitylab import holography
 from complexitylab.holography import (
     BlackHoleSpec,
     _turning_factor,
@@ -245,6 +247,21 @@ def test_turning_factor_is_the_shifted_polynomial(d, mu, l_ads):
     scale = np.max(np.abs(shifted))
     assert np.allclose(g[::-1], shifted[1:], rtol=1e-12, atol=1e-13 * scale)
     assert shifted[0] == pytest.approx(r0 ** (2 * d - 4) * blackening(spec, r0), rel=1e-12)
+
+
+def test_root_finds_go_through_the_module_brentq(monkeypatch):
+    # perfbench counts root finds by patching holography.brentq; a local import would hide them
+    E = 0.5 * critical_energy(BlackHoleSpec(d=4, mu=100.0))
+    reference = interior_volume(BlackHoleSpec(d=4, mu=100.0), E)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scipy_brentq(*args, **kwargs)
+
+    monkeypatch.setattr(holography, "brentq", counted)
+    assert interior_volume(BlackHoleSpec(d=4, mu=100.0), E) == reference
+    assert len(calls) == 3  # the horizon, the critical radius and the turning point
 
 
 def test_interior_volume_raises_on_failed_quadrature():
