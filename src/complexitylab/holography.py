@@ -82,6 +82,11 @@ class BlackHoleSpec:
         return horizon(self)
 
     @cached_property
+    def r_m(self) -> float:
+        """Critical interior radius of critical_surface, found once per spec."""
+        return _critical_radius(self)
+
+    @cached_property
     def temperature(self) -> float:
         return hawking_temperature(self)
 
@@ -133,28 +138,28 @@ def _interior_weight(spec: BlackHoleSpec, r: float) -> float:
     return -(r ** (2 * (spec.d - 2))) * blackening(spec, r)
 
 
-def critical_surface(spec: BlackHoleSpec) -> tuple[float, float]:
-    """(r_m, V_d): the interior radius maximizing r^(d-2) sqrt|f| and the
-    corresponding limiting volume rate Omega_{d-2} r_m^(d-2) sqrt|f(r_m)|.
-
-    The stationarity condition (d-1) mu - (2d-4) r^(d-3) - (2d-2) r^(d-1)/l^2 = 0
-    is strictly decreasing in r, so the maximizer is the unique root.
-    """
+def _critical_radius(spec: BlackHoleSpec) -> float:
+    """The interior radius maximizing r^(d-2) sqrt|f|.  The stationarity condition
+    (d-1) mu - (2d-4) r^(d-3) - (2d-2) r^(d-1)/l^2 = 0 is strictly decreasing
+    in r, so the maximizer is its unique root."""
     d, l = spec.d, spec.l_ads
 
     def stationarity(r: float) -> float:
         return (d - 1) * spec.mu - (2 * d - 4) * r ** (d - 3) - (2 * d - 2) * r ** (d - 1) / l**2
 
-    r_m = brentq(stationarity, 1e-12 * spec.r_h, spec.r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
-    v_d = spec.omega * math.sqrt(_interior_weight(spec, r_m))
-    return r_m, v_d
+    return brentq(stationarity, 1e-12 * spec.r_h, spec.r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
+
+
+def critical_surface(spec: BlackHoleSpec) -> tuple[float, float]:
+    """(r_m, V_d): the interior radius maximizing r^(d-2) sqrt|f| and the
+    corresponding limiting volume rate Omega_{d-2} r_m^(d-2) sqrt|f(r_m)|."""
+    return spec.r_m, spec.omega * critical_energy(spec)
 
 
 def critical_energy(spec: BlackHoleSpec) -> float:
     """Per-unit-sphere limiting rate E_c = r_m^(d-2) sqrt|f(r_m)|; maximal
     conserved energy of an interior maximal-volume slice."""
-    r_m, _ = critical_surface(spec)
-    return math.sqrt(_interior_weight(spec, r_m))
+    return math.sqrt(_interior_weight(spec, spec.r_m))
 
 
 @dataclass(frozen=True)
@@ -217,15 +222,17 @@ def interior_volume(
     dt/dr = E / (f sqrt(x g(x))) across the simple pole at the horizon as
     a principal value: over a window symmetric about r_h the subtracted
     pole s / (f'(r_h) (r - r_h)) integrates to zero, and the remainder is
-    regular.  Of the two geodesic branches through the turning point the
-    one reaching the boundary at positive anchor time is reported, and
-    the symmetric two-sided configuration makes boundary_time_sum = 2 t_r.
+    regular.  Beyond the window, out to r_cut three decades away, dt/dr
+    is a power-law tail; it is integrated in v = ln(r - r_h), dr = e^v dv,
+    where the integrand is smooth and nearly flat.  Of the two geodesic
+    branches through the turning point the one reaching the boundary at
+    positive anchor time is reported, and the symmetric two-sided
+    configuration makes boundary_time_sum = 2 t_r.
 
     Every integral is checked: a quadrature that reports a failure, or
     whose error estimate exceeds max(tol, tol |result|), raises ValueError.
     """
-    r_m, _ = critical_surface(spec)
-    e_c = math.sqrt(_interior_weight(spec, r_m))
+    e_c = critical_energy(spec)
     if not 0 <= E < e_c:
         raise ValueError(f"need 0 <= E < E_c = {e_c:.6g}, got E = {E}")
     r_h = spec.r_h
@@ -241,7 +248,9 @@ def interior_volume(
     def f(r: float) -> float:
         return 1.0 - mu / r**dm3 + (r / l_ads) ** 2
 
-    r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), r_m, r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
+    r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), spec.r_m, r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
+    if r_turn >= r_h:
+        raise ValueError(f"E = {E:.6g} is too small: its turning point rounds onto the horizon r_h = {r_h:.6g}")
     coeffs = _turning_factor(spec, r_turn)
 
     def g(x: float) -> float:
@@ -268,6 +277,10 @@ def interior_volume(
         x = u * u
         return 2.0 * E / (f(r_turn + x) * math.sqrt(g(x)))
 
+    def time_integrand_log(v: float) -> float:
+        y = math.exp(v)
+        return y * time_integrand(r_h + y)
+
     pole_limit = -(fpp_h / (2 * fp_h**2) + r_h**two_dm2 / (2 * E * E))
 
     def subtracted(r: float) -> float:
@@ -277,7 +290,7 @@ def interior_volume(
 
     t1 = _integrate("inner anchor-time", time_integrand_u, 0.0, math.sqrt(r_h - delta - r_turn), tol)
     t2 = _integrate("horizon anchor-time", subtracted, r_h - delta, r_h + delta, tol, points=[r_h])
-    t3 = _integrate("outer anchor-time", time_integrand, r_h + delta, r_cut, tol)
+    t3 = _integrate("outer anchor-time", time_integrand_log, math.log(delta), math.log(r_cut - r_h), tol)
     t_r = -(t1 + t2 + t3)
     return VolumeCurvePoint(E, r_turn, volume, 2.0 * t_r)
 

@@ -273,6 +273,18 @@ def test_only_the_commands_that_call_scipy_load_it(argv, loads_scipy, tmp_path):
     assert (loaded != "[]") == loads_scipy, loaded
 
 
+def test_paper_suite_loads_scipy_before_its_first_check(tmp_path):
+    # the import is timed as its own summary entry, not charged to the first check
+    code = (
+        "import sys; from complexitylab import acceptance, cli; "
+        "acceptance.CHECKS = [('probe', lambda: str('scipy.optimize' in sys.modules))]; "
+        f"assert cli.main(['paper-suite', '--outdir', {str(tmp_path)!r}]) == 0"
+    )
+    _fresh_python(code, tmp_path)
+    assert read(tmp_path / "paper_suite.csv").decode().splitlines()[1] == "probe,PASS,True"
+    assert re.search(r"^scipy_import_s: \d+\.\d{3}$", read(tmp_path / "paper_suite_summary.txt").decode(), re.M)
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COMPLEXITYLAB_OUTDIR", str(tmp_path / "env_out"))
     assert main(["counting"]) == 0
@@ -375,6 +387,10 @@ def test_bfs_zero_epsilon_exits_1(tmp_path, capsys):
     "argv, message",
     [
         (["wormhole", "--eta-min", "0.2"], "need 0 < eta_min < eta_max <= 1"),
+        (
+            ["wormhole", "--eta-max", "0.999999999999", "--eta-min", "0.9999999999", "--egrid-points", "2"],
+            "E = 4.81833e-11 is too small: its turning point rounds onto the horizon",
+        ),
     ],
 )
 def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, capsys):

@@ -146,6 +146,15 @@ def test_interior_volume_rejects_supercritical():
         interior_volume(spec, e_c / 2, r_cut=spec.r_h / 2)
 
 
+@pytest.mark.parametrize("ratio", [1e-300, 1e-9])
+def test_interior_volume_rejects_a_turning_point_on_the_horizon(ratio):
+    # r_h - r_turn rounds to 0: the slice would have volume 0 and a negative anchor time
+    spec = BlackHoleSpec(d=4, mu=100.0)
+    E = ratio * critical_energy(spec)
+    with pytest.raises(ValueError, match=rf"^E = {E:.6g} is too small: its turning point rounds onto the horizon"):
+        interior_volume(spec, E)
+
+
 @pytest.mark.parametrize("eta_min, eta_max", [(0.2, 0.1), (1e-3, 1e-3), (0.0, 0.1), (1e-5, 1.5)])
 def test_volume_curve_rejects_a_bad_eta_range(eta_min, eta_max):
     with pytest.raises(ValueError, match="eta_min < eta_max"):
@@ -262,6 +271,81 @@ def test_root_finds_go_through_the_module_brentq(monkeypatch):
     monkeypatch.setattr(holography, "brentq", counted)
     assert interior_volume(BlackHoleSpec(d=4, mu=100.0), E) == reference
     assert len(calls) == 3  # the horizon, the critical radius and the turning point
+
+
+def _benchmark_slices():
+    """(spec, E) on the benchmark's grid, 34 slices from eta = 1e-1 down to 1e-7
+    for each of three specs.  The specs are fresh: their first slice finds the
+    horizon and the critical radius."""
+    slices = []
+    for d, mu in ((4, 100.0), (5, 10.0), (6, 1.0)):
+        e_c = critical_energy(BlackHoleSpec(d=d, mu=mu))
+        spec = BlackHoleSpec(d=d, mu=mu)
+        slices += [(spec, e_c * (1 - eta)) for eta in np.geomspace(1e-1, 1e-7, 34)]
+    return slices
+
+
+def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
+    # 102 slices took 76,608 integrand evaluations and 2 root finds a slice
+    # before the outer anchor time moved to v = ln(r - r_h) and r_m was cached
+    evals, root_finds = [0], []
+
+    def counted_quad(fn, *args, **kwargs):
+        def counted(*x):
+            evals[0] += 1
+            return fn(*x)
+
+        return quad(counted, *args, **kwargs)
+
+    def counted_brentq(*args, **kwargs):
+        root_finds[-1] += 1
+        return scipy_brentq(*args, **kwargs)
+
+    slices = _benchmark_slices()
+    monkeypatch.setattr(holography, "quad", counted_quad)
+    monkeypatch.setattr(holography, "brentq", counted_brentq)
+    for spec, E in slices:
+        root_finds.append(0)
+        interior_volume(spec, E)
+    assert evals[0] <= 35_000
+    for first in range(0, 102, 34):
+        assert root_finds[first] == 3  # the horizon, the critical radius and the turning point
+        assert root_finds[first + 1 : first + 34] == [1] * 33
+
+
+def test_outer_anchor_time_in_log_coordinates_matches_the_integral_in_r(monkeypatch):
+    # reference: the outer anchor time integrated in r over [r_h + delta, r_cut],
+    # as before the substitution v = ln(r - r_h); the other integrals are unchanged
+    slices = _benchmark_slices()
+    ours = [interior_volume(spec, E) for spec, E in slices]
+    current = {}
+
+    def outer_in_r(r):
+        spec, p = current["spec"], current["point"]
+        x = r - p.r_turn
+        g = 0.0
+        for c in current["coeffs"]:
+            g = g * x + c
+        f = 1.0 - spec.mu / r ** (spec.d - 3) + (r / spec.l_ads) ** 2
+        return p.E / (f * math.sqrt(x * g))
+
+    def quad_in_r(fn, a, b, **kwargs):
+        spec, p = current["spec"], current["point"]
+        r_h = spec.r_h
+        r_cut = 1e3 * max(r_h, spec.l_ads)
+        if b != math.log(r_cut - r_h):
+            return quad(fn, a, b, **kwargs)
+        current["outer"] += 1
+        delta = 0.5 * min(r_h - p.r_turn, r_cut - r_h)
+        return quad(outer_in_r, r_h + delta, r_cut, **kwargs)
+
+    monkeypatch.setattr(holography, "quad", quad_in_r)
+    for (spec, E), p in zip(slices, ours):
+        current.update(spec=spec, point=p, coeffs=_turning_factor(spec, p.r_turn), outer=0)
+        ref = interior_volume(spec, E)
+        assert current["outer"] == 1
+        assert p.interior_volume_per_sphere == ref.interior_volume_per_sphere
+        assert p.boundary_time_sum == pytest.approx(ref.boundary_time_sum, rel=1e-12)
 
 
 def test_interior_volume_raises_on_failed_quadrature():
