@@ -303,14 +303,22 @@ def volume_curve(
     r_cut: float | None = None,
     tol: float = DEFAULT_QUAD_TOL,
 ) -> list[VolumeCurvePoint]:
-    """Slices on a geometric grid E = E_c (1 - eta) approaching criticality."""
+    """Slices on a geometric grid E = E_c (1 - eta) approaching criticality.
+    A slice's ValueError is re-raised with that slice's eta and E."""
     if points < 2:
         raise ValueError("need at least 2 grid points")
     if not 0 < eta_min < eta_max <= 1:
         raise ValueError(f"need 0 < eta_min < eta_max <= 1, got eta_min {eta_min}, eta_max {eta_max}")
     e_c = critical_energy(spec)
     etas = np.geomspace(eta_max, eta_min, points)
-    return [interior_volume(spec, e_c * (1.0 - eta), r_cut=r_cut, tol=tol) for eta in etas]
+    curve = []
+    for eta in etas:
+        E = e_c * (1.0 - eta)
+        try:
+            curve.append(interior_volume(spec, E, r_cut=r_cut, tol=tol))
+        except ValueError as exc:
+            raise ValueError(f"{exc}; failed slice: eta {eta:.6g}, E {E:.6g}") from exc
+    return curve
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ identity below relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,11 @@ DENSITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator.  The
+    eigenvalues that validation computes are kept, read-only."""
 
     entries: np.ndarray
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -38,15 +40,18 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > DENSITY_TOL:
             raise ValueError(f"density matrix trace is {np.trace(m)}, expected 1")
-        if np.linalg.eigvalsh(m).min() < -DENSITY_TOL:
+        lam = np.linalg.eigvalsh(m)
+        if lam.min() < -DENSITY_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
+        lam.flags.writeable = False
+        object.__setattr__(self, "_eigenvalues", lam)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
+        return self._eigenvalues
 
 
 def _boltzmann_weights(spectrum: np.ndarray, beta: float) -> np.ndarray:
@@ -189,26 +194,26 @@ def fubini_distance(psi: np.ndarray, phi: np.ndarray) -> float:
 
 
 def scrambled_circuit_state(K: int, n_gates: int, seed: int) -> np.ndarray:
-    """|0...0> pushed through a deep circuit of Haar-random 2-qubit gates
-    on uniformly random qubit pairs.  One stacked QR makes every gate's
-    unitary, and each gate updates a transposed view of the state in place:
-    bit for bit the gate-by-gate ``haar_unitary`` loop, but 8 circuits of 300
-    gates at K = 10 take about 0.1 s, not 0.25-0.3 s (2 vCPUs)."""
+    """|0...0> through ``n_gates`` Haar-random 2-qubit gates on uniformly
+    random ordered qubit pairs.  The circuit is drawn up front from
+    ``default_rng(seed)``: first qubits ``integers(K, n_gates)``, second
+    qubits ``integers(K - 1, n_gates)`` raised by one where they reach the
+    first, then one ``standard_normal((n_gates, 4, 4, 2))`` Ginibre block."""
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     if n_gates < 0:
         raise ValueError(f"n_gates must be >= 0, got {n_gates}")
     rng = np.random.default_rng(seed)
-    perms = []
-    z = np.empty((n_gates, 4, 4), dtype=complex)
-    for i in range(n_gates):
-        a, b = rng.choice(K, size=2, replace=False).tolist()
-        perms.append((a, b, *(k for k in range(K) if k != a and k != b)))
-        z[i] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    first = rng.integers(K, size=n_gates)
+    second = rng.integers(K - 1, size=n_gates)
+    second += second >= first
+    unitaries = _unitary_from_ginibre(rng.standard_normal((n_gates, 4, 4, 2)).view(complex)[..., 0])
+    pairs = list(zip(first.tolist(), second.tolist()))
+    perms = {(a, b): (a, b, *(k for k in range(K) if k != a and k != b)) for a, b in set(pairs)}
     psi = np.zeros(1 << K, dtype=complex)
     psi[0] = 1.0
-    cube = psi.reshape([2] * K)
-    for U, perm in zip(_unitary_from_ginibre(z), perms):
-        t = cube.transpose(perm)
+    cube = psi.reshape([2] * K)  # each gate updates a transposed view of it in place
+    for U, pair in zip(unitaries, pairs):
+        t = cube.transpose(perms[pair])
         t[...] = (U @ t.reshape(4, -1)).reshape(t.shape)
     return psi

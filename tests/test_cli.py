@@ -240,6 +240,15 @@ def test_wormhole_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "volume integral did not converge: abserr 1, tol 1e-10 (injected failure)" in capsys.readouterr().err
 
 
+def test_failed_wormhole_slice_names_its_eta_and_energy(tmp_path, capsys):
+    # The first slice of this grid lies below the early-time limit of the anchor-time integrals.
+    assert main(["wormhole", "--eta-max", "0.99", "--eta-min", "0.9", "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon anchor-time integral did not converge")
+    assert err.rstrip().endswith("; failed slice: eta 0.99, E 0.481844")
+    assert list(tmp_path.iterdir()) == []
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # Prints the scipy modules loaded by the code run before it, in a fresh process.
 SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -35,6 +35,25 @@ def test_density_matrix_validation():
         DensityMatrix(np.ones((2, 3)))
 
 
+def test_entropy_of_a_raw_matrix_diagonalises_it_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    rho = thermal_state([0.0, 0.4, 1.1], beta=0.7).entries
+    expected = von_neumann_entropy(rho)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert von_neumann_entropy(rho) == expected
+    assert calls == [(3, 3)]
+    dm = DensityMatrix(rho)
+    assert not dm.eigenvalues().flags.writeable
+    assert von_neumann_entropy(dm) == expected
+    assert calls == [(3, 3)] * 2
+
+
 def test_thermal_state_infinite_temperature():
     rho = thermal_state([0.0, 1.0, 2.0], beta=0.0)
     assert np.allclose(rho.entries, np.eye(3) / 3)
@@ -249,13 +268,20 @@ def _haar_reference(dim, rng):
 
 
 def _circuit_reference(K, n_gates, seed):
-    """The circuit gate by gate: one QR and two moveaxis copies per gate."""
+    """The circuit gate by gate from the documented draw order: all first
+    qubits, all second qubits (shifted past the first), then the Ginibre
+    block; one QR and two moveaxis copies per gate."""
     rng = np.random.default_rng(seed)
+    first = rng.integers(K, size=n_gates)
+    second = rng.integers(K - 1, size=n_gates)
+    normals = rng.standard_normal((n_gates, 4, 4, 2))
     psi = np.zeros(1 << K, dtype=complex)
     psi[0] = 1.0
-    for _ in range(n_gates):
-        a, b = rng.choice(K, size=2, replace=False)
-        U = _haar_reference(4, rng)
+    for i in range(n_gates):
+        a, b = int(first[i]), int(second[i])
+        b = b + 1 if b >= a else b
+        q, r = np.linalg.qr(normals[i, ..., 0] + 1j * normals[i, ..., 1])
+        U = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         t = psi.reshape([2] * K)
         t = np.moveaxis(t, (a, b), (0, 1)).reshape(4, -1)
         t = (U @ t).reshape([2, 2] + [2] * (K - 2))
@@ -269,6 +295,33 @@ def test_scrambled_state_equals_gate_by_gate_reference(K):
         for seed in (0, 9, 1000 + K):
             psi = scrambled_circuit_state(K, n_gates, seed)
             assert np.array_equal(psi, _circuit_reference(K, n_gates, seed))
+
+
+def test_one_gate_leaves_a_uniformly_chosen_pair_of_qubits_untouched():
+    # A qubit the gate misses keeps the exact |0> marginal; the gate's own
+    # pair does so with probability 0.  Over 3,600 seeds each of the
+    # C(4, 2) = 6 untouched pairs should turn up 600 times.
+    K, seeds = 4, 3600
+    bits = (np.arange(1 << K)[:, None] >> (K - 1 - np.arange(K))) & 1  # qubit 0 is the leading axis
+    counts = {}
+    for seed in range(seeds):
+        p1 = np.abs(scrambled_circuit_state(K, 1, seed)) ** 2 @ bits
+        untouched = tuple(np.flatnonzero(p1 == 0.0).tolist())
+        assert len(untouched) == K - 2
+        counts[untouched] = counts.get(untouched, 0) + 1
+    assert len(counts) == math.comb(K, 2)
+    expected = seeds / math.comb(K, 2)
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < 25.7, counts  # the 1e-4 upper tail of chi-square with 5 degrees of freedom
+
+
+def test_one_gate_on_two_qubits_has_haar_moments():
+    # Each |psi_i|^2 of a Haar-random column in C^4 is Beta(1, 3):
+    # mean 1/4 and second moment 2 / (4 * 5) = 1/10.
+    p = np.array([np.abs(scrambled_circuit_state(2, 1, seed)) ** 2 for seed in range(4000)])
+    for samples, exact in ((p, 1 / 4), (p**2, 1 / 10)):
+        stderr = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+        assert np.all(np.abs(samples.mean(axis=0) - exact) < 5 * stderr), (samples.mean(axis=0), exact)
 
 
 def test_scrambled_state_gate_counts():
