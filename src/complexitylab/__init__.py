@@ -12,80 +12,4 @@ Submodules:
   cli         command-line driver
 """
 
-from .paulis import (
-    KLocalHamiltonian,
-    PauliString,
-    enumerate_strings,
-    evolve,
-    normalized_trace,
-    normalized_trace_product,
-    pauli_matrix,
-    sample_klocal,
-)
-from .scrambling import (
-    EpidemicTrajectory,
-    circuit_complexity_linear,
-    logistic_size,
-    precursor_complexity,
-    scrambling_time,
-    simulate_epidemic,
-)
-from .gates import (
-    ComplexityBall,
-    GateSet,
-    bfs_complexity,
-    canonical_key,
-    relative_complexity,
-    sphere_growth,
-)
-from .geometry import (
-    PenaltySchedule,
-    curvature_ensemble,
-    geodesic_residual,
-    loschmidt,
-    metric_norm_sq,
-    path_action,
-    penalty,
-    sectional_curvature,
-    velocity_components,
-)
-from .counting import (
-    CountingReport,
-    complexity_entropy,
-    complexity_entropy_exact,
-    counting_report,
-    log_ball_volume,
-    log_branching,
-    log_branching_exact,
-    log_num_unitaries,
-    log_vol_su,
-    max_complexity,
-    max_complexity_from_branching,
-    parameter_count,
-    recurrence_magnitudes,
-)
-from .thermofield import (
-    DensityMatrix,
-    TFDState,
-    evolve_tfd,
-    fubini_distance,
-    partial_trace,
-    tfd,
-    thermal_state,
-    two_sided_correlator,
-    von_neumann_entropy,
-)
-from .holography import (
-    BlackHoleSpec,
-    bekenstein_entropy,
-    blackening,
-    critical_surface,
-    cv_rate,
-    hawking_temperature,
-    horizon,
-    interior_volume,
-    lloyd_bound,
-    wdw_action_rate,
-)
-
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from .gates import (
     two_qubit_clifford_gateset,
 )
 from .geometry import PenaltySchedule, curvature_ensemble
+from .paulis import is_unitary
 
 OUTDIR_ENV = "COMPLEXITYLAB_OUTDIR"
 # Ball size cap of `bfs`: a free (random) set grows 7x a layer and would
@@ -87,8 +88,12 @@ def _read_target_matrix(path: str, dim: int) -> np.ndarray:
         _usage_error(f"--target: {exc}")
     if vals.shape != (dim, 2 * dim):
         _usage_error(f"--target: expected {dim} rows of {2 * dim} values (re,im pairs), got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        _usage_error("--target: entries must be finite")
     target = np.empty((dim, dim), dtype=complex)
     target.real, target.imag = vals[:, 0::2], vals[:, 1::2]
+    if not is_unitary(target):
+        _usage_error("--target: matrix is not unitary")
     return target
 
 
@@ -190,6 +195,9 @@ def cmd_tfd(opts) -> Result:
         proj[i, i] = 1.0
         c = tfd.two_sided_correlator(psi, proj, proj, dims=state.dims)
         rows.append((f"corr_P{i}P{i}_re", c.real))
+    for quantity, value in rows:
+        if not math.isfinite(value):
+            raise ValueError(f"{quantity} is not finite: {value}")
     return ["quantity", "value"], rows, {
         "beta": opts.beta,
         "levels": len(spectrum),
@@ -200,6 +208,8 @@ def cmd_tfd(opts) -> Result:
 
 
 def cmd_wormhole(opts) -> Result:
+    if opts.eta_min >= opts.eta_max:
+        _usage_error(f"--eta-min {opts.eta_min} must be below --eta-max {opts.eta_max}")
     spec = _black_hole_from(opts)
     points = holography.volume_curve(
         spec, eta_max=opts.eta_max, eta_min=opts.eta_min, points=opts.egrid_points
@@ -242,7 +252,7 @@ def cmd_wdw(opts) -> Result:
 def cmd_paper_suite(opts) -> Result:
     # load the scipy the checks call up front, so that no check's time carries the import
     start = time.perf_counter()
-    import scipy.integrate, scipy.optimize, scipy.special  # noqa: F401, E401
+    import scipy.integrate, scipy.optimize  # noqa: F401, E401
     scipy_import_s = time.perf_counter() - start
     results = acceptance.run_all()
     rows = [(name, "PASS" if ok else "FAIL", detail.replace(",", ";")) for name, ok, detail in results]
@@ -293,10 +303,10 @@ def finite_or_inf(text: str) -> float:
     return math.inf if float(text) == math.inf else finite(text)
 
 
-def _checked_int(name: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
-    """Type of an int option whose values must pass ``ok``; argparse reports it as ``name``."""
-    def parse(text: str) -> int:
-        if not ok(value := int(text)):
+def _checked(name: str, ok: Callable, convert: Callable[[str], object] = finite) -> Callable[[str], object]:
+    """Type of an option whose ``convert``-ed values must pass ``ok``; argparse reports it as ``name``."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
             raise ValueError(f"not {name}: {text!r}")
         return value
 
@@ -304,20 +314,26 @@ def _checked_int(name: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
     return parse
 
 
-even_count = _checked_int("even_count", lambda v: v >= 2 and v % 2 == 0)
-even_count_from_4 = _checked_int("even_count_from_4", lambda v: v >= 4 and v % 2 == 0)
-grid_points = _checked_int("grid_points", lambda v: v >= 2)
-positive_int = _checked_int("positive_int", lambda v: v >= 1)
-nonnegative_int = _checked_int("nonnegative_int", lambda v: v >= 0)
+even_count = _checked("even_count", lambda v: v >= 2 and v % 2 == 0, int)
+even_count_from_4 = _checked("even_count_from_4", lambda v: v >= 4 and v % 2 == 0, int)
+# 2^K floats are held at once, and the counting estimates are documented up to K = 20
+even_count_to_20 = _checked("even_count_to_20", lambda v: 2 <= v <= 20 and v % 2 == 0, int)
+grid_points = _checked("grid_points", lambda v: v >= 2, int)
+positive_int = _checked("positive_int", lambda v: v >= 1, int)
+nonnegative_int = _checked("nonnegative_int", lambda v: v >= 0, int)
+bulk_dim = _checked("bulk_dim", lambda v: v >= 4, int)
+positive = _checked("positive", lambda v: v > 0)
+unit_interval = _checked("unit_interval", lambda v: 0 < v <= 1)
+nonnegative_or_inf = _checked("nonnegative_or_inf", lambda v: v >= 0, finite_or_inf)
 
 
 def _black_hole_options(mu: float) -> tuple[Option, ...]:
     return (
-        Option("--dim", int, 4, "bulk dimension d >= 4"),
-        Option("--mu", finite, mu, "mass parameter"),
-        Option("--mass", finite, None, "mass M (overrides --mu)"),
-        Option("--lads", finite, 1.0, "AdS radius"),
-        Option("--G", finite, 1.0, "Newton constant"),
+        Option("--dim", bulk_dim, 4, "bulk dimension d >= 4"),
+        Option("--mu", positive, mu, "mass parameter"),
+        Option("--mass", positive, None, "mass M (overrides --mu)"),
+        Option("--lads", positive, 1.0, "AdS radius"),
+        Option("--G", positive, 1.0, "Newton constant"),
     )
 
 
@@ -352,7 +368,7 @@ COMMANDS = {
         (
             Option("--gateset", str, "clifford2", "gate set", ("cnot", "clifford2", "random")),
             Option("--max-depth", nonnegative_int, 12, "BFS depth cap"),
-            Option("--epsilon", finite, 1e-6, "dedup resolution"),
+            Option("--epsilon", positive, 1e-6, "dedup resolution"),
             Option("--pairs", positive_int, 4, "Haar gate pairs for --gateset random"),
             Option("--target", str, None, "CSV file of the target matrix, rows of re,im pairs"),
         ),
@@ -364,7 +380,7 @@ COMMANDS = {
         "ratio scales like 1/K.",
         (
             Option("--qubits", even_count_from_4, 8, "even qubit count K >= 4"),
-            Option("--penalty-c", finite, 1.0, "penalty prefactor c"),
+            Option("--penalty-c", positive, 1.0, "penalty prefactor c"),
             Option("--penalty-k", positive_int, 2, "locality threshold k"),
             Option("--trials", positive_int, 100, "ensemble size"),
         ),
@@ -375,8 +391,8 @@ COMMANDS = {
         "pairing branching factor, maximum complexity 4^K(1/2+|ln eps|/ln K) and "
         "recurrence magnitudes, all as natural logs.",
         (
-            Option("--qubits", even_count, 4, "even qubit count K >= 2"),
-            Option("--epsilon", finite, 0.01, "resolution in (0,1)"),
+            Option("--qubits", even_count_to_20, 4, "even qubit count 2 <= K <= 20"),
+            Option("--epsilon", unit_interval, 0.01, "resolution in (0,1]"),
         ),
     ),
     "tfd": Command(
@@ -386,7 +402,7 @@ COMMANDS = {
         "two-sided correlators; the difference Hamiltonian leaves the state "
         "invariant at tl = tr, the sum does not.",
         (
-            Option("--beta", finite_or_inf, 1.0, "inverse temperature >= 0"),
+            Option("--beta", nonnegative_or_inf, 1.0, "inverse temperature >= 0"),
             Option("--spectrum", str, "0,1", "comma-separated energies or a file"),
             Option("--tl", finite, 0.0, "left boundary time"),
             Option("--tr", finite, 0.0, "right boundary time"),
@@ -401,8 +417,8 @@ COMMANDS = {
         "with slope Omega_(d-2) r_m^(d-2) sqrt|f(r_m)|.",
         _black_hole_options(mu=100.0) + (
             Option("--egrid-points", grid_points, 16, "energy grid size >= 2"),
-            Option("--eta-max", finite, 0.1, "largest 1 - E/E_c"),
-            Option("--eta-min", finite, 1e-5, "smallest 1 - E/E_c"),
+            Option("--eta-max", unit_interval, 0.1, "largest 1 - E/E_c, in (0,1]"),
+            Option("--eta-min", unit_interval, 1e-5, "smallest 1 - E/E_c, below --eta-max"),
         ),
     ),
     "wdw": Command(
@@ -410,7 +426,7 @@ COMMANDS = {
         "Bulk term -r_h^(d-1) Omega/(8 pi G l^2) plus the surface bracket "
         "evaluated at the horizon; the total equals 2M exactly and saturates the "
         "growth bound 2M/(pi hbar).",
-        _black_hole_options(mu=1.0) + (Option("--hbar", finite, 1.0, "hbar for the bound"),),
+        _black_hole_options(mu=1.0) + (Option("--hbar", positive, 1.0, "hbar for the bound"),),
     ),
     "paper-suite": Command(
         cmd_paper_suite, "run every acceptance check, one PASS/FAIL line each",

@@ -28,13 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def expit(x):
-    """scipy.special.expit, imported on first call: importing this module loads no scipy."""
-    from scipy.special import expit
-
-    return expit(x)
-
-
 @dataclass(frozen=True)
 class EpidemicTrajectory:
     """Per-step mean and standard error of the infected-qubit count."""
@@ -186,9 +179,14 @@ def scrambling_time(K: int) -> float:
 
 
 def logistic_size(tau, K: int):
-    """Affected fraction s(tau)/K on the logistic curve with tau* = ln K."""
+    """Affected fraction s(tau)/K on the logistic curve with tau* = ln K.
+
+    Split at x = tau - tau* = 0 so that e^(-|x|) never overflows:
+    1/(1 + e^(-x)) for x >= 0, e^x/(1 + e^x) below.
+    """
     x = np.asarray(tau, dtype=float) - scrambling_time(K)
-    out = expit(x)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return float(out) if np.isscalar(tau) else out
 
 

@@ -158,8 +158,12 @@ def test_bfs_run_with_target(tmp_path):
     assert lines[1] == "0,1"
 
 
+def _target_text(U):
+    return "".join(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n" for row in U)
+
+
 def _write_target(path, U):
-    path.write_text("".join(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n" for row in U))
+    path.write_text(_target_text(U))
 
 
 def test_bfs_random_stops_at_the_element_cap(tmp_path, monkeypatch):
@@ -266,6 +270,11 @@ def test_importing_the_package_loads_no_scipy(tmp_path):
     assert _fresh_python(f"import complexitylab, complexitylab.cli; {SCIPY_LOADED}", tmp_path) == "[]\n"
 
 
+def test_importing_the_bare_package_loads_neither_numpy_nor_scipy(tmp_path):
+    code = "import sys, complexitylab; print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    assert _fresh_python(code, tmp_path) == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv, loads_scipy",
     [
@@ -273,6 +282,8 @@ def test_importing_the_package_loads_no_scipy(tmp_path):
         (["curvature", "--qubits", "4", "--trials", "5"], False),
         (["tfd"], False),
         (["wdw"], True),  # a command that calls brentq: the probe sees scipy when it is there
+        (["counting"], False),
+        (["scramble"], False),
     ],
 )
 def test_only_the_commands_that_call_scipy_load_it(argv, loads_scipy, tmp_path):
@@ -334,6 +345,9 @@ BFS_CNOT = ["bfs", "--gateset", "cnot", "--max-depth", "2"]
         (BFS_CNOT, "1,0,0,0\n" * 4),  # 4 values per row where 8 (re,im pairs) are due
         (BFS_CNOT, "1,0,0,0,0,0,x,0\n" * 4),
         (BFS_CNOT, "no such file"),
+        (BFS_CNOT, _target_text(2 * np.eye(4))),  # not unitary
+        (BFS_CNOT, _target_text(np.full((4, 4), np.nan))),
+        (BFS_CNOT, _target_text(np.diag([1, 1, 1, np.inf]))),
     ],
 )
 def test_bad_spectrum_or_target_exits_2(tmp_path, capsys, argv, target):
@@ -387,15 +401,17 @@ def test_tfd_beta_inf_is_the_ground_state(tmp_path):
     assert "entropy_left: 0\n" in read(tmp_path / "tfd_summary.txt").decode()
 
 
-def test_bfs_zero_epsilon_exits_1(tmp_path, capsys):
-    assert main(["bfs", "--epsilon", "0", "--gateset", "cnot", "--outdir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: epsilon must be finite and > 0")
+def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
+    # exp(-beta E/2) stays finite at beta 0, but <H H> squares E = 1e200
+    assert main(["tfd", "--beta", "0", "--spectrum", "1e200,0", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: corr_HH_re is not finite: inf\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["wormhole", "--eta-min", "0.2"], "need 0 < eta_min < eta_max <= 1"),
+        (["curvature", "--qubits", "12"], "K=12 exceeds the cap of 10 qubits"),
         (
             ["wormhole", "--eta-max", "0.999999999999", "--eta-min", "0.9999999999", "--egrid-points", "2"],
             "E = 4.81833e-11 is too small: its turning point rounds onto the horizon",
@@ -419,6 +435,21 @@ def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, 
         ("curvature", "--qubits", "7"),
         ("wormhole", "--egrid-points", "1"),
         ("counting", "--qubits", "5"),
+        ("counting", "--qubits", "22"),  # 2^22 floats and past the documented K <= 20
+        # float options and --dim: range-checked by their types alike
+        ("bfs", "--epsilon", "-1"),
+        ("bfs", "--epsilon", "0"),
+        ("counting", "--epsilon", "2"),
+        ("tfd", "--beta", "-1"),
+        ("wdw", "--hbar", "0"),
+        ("wdw", "--dim", "3"),
+        ("wdw", "--G", "-1"),
+        ("wdw", "--mu", "-5"),
+        ("wdw", "--mass", "0"),
+        ("wdw", "--lads", "-1"),
+        ("curvature", "--penalty-c", "-1"),
+        ("wormhole", "--eta-min", "0"),
+        ("wormhole", "--eta-max", "1.5"),
     ],
 )
 def test_int_out_of_range_exits_2_from_flag_or_config(command, flag, value, tmp_path, capsys):
@@ -433,6 +464,29 @@ def test_int_out_of_range_exits_2_from_flag_or_config(command, flag, value, tmp_
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"error: --config: bad value for {flag}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eta_min", ["0.2", "0.1"])
+def test_eta_min_not_below_eta_max_exits_2_from_flag_or_config(eta_min, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["wormhole", "--eta-min", eta_min, "--outdir", str(out)])
+    assert exc.value.code == 2
+    message = f"error: --eta-min {float(eta_min)} must be below --eta-max 0.1\n"
+    assert capsys.readouterr().err == message
+    (tmp_path / "c.cfg").write_text(f"eta-min={eta_min}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["wormhole", "--config", str(tmp_path / "c.cfg"), "--outdir", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == message
+    assert list(out.iterdir()) == []
+
+
+def test_counting_at_the_qubit_cap(tmp_path):
+    assert main(["counting", "--qubits", "20", "--outdir", str(tmp_path)]) == 0
+    row = read(tmp_path / "counting.csv").decode().splitlines()[1].split(",")
+    assert row[0] == "20"
+    assert all(np.isfinite(float(v)) for v in row)
 
 
 def test_failing_paper_suite_check_exits_1(tmp_path, monkeypatch, capsys):
@@ -470,13 +524,15 @@ def _sample_value(opt) -> str:
     """A valid value for ``opt`` that differs from its default."""
     if opt.choices is not None:
         return next(c for c in opt.choices if c != opt.default)
-    if opt.type is int:
-        return str((opt.default or 0) + 3)
-    if opt.type in (cli.even_count, cli.even_count_from_4, cli.grid_points, cli.positive_int, cli.nonnegative_int):
-        return str(opt.default + 2)
-    if opt.type in (cli.finite, cli.finite_or_inf):
-        return "2.5"
-    return "elsewhere"
+    if opt.type is str:
+        return "elsewhere"
+    for raw in ("2.5", "0.5", str((opt.default or 0) + 2)):  # a float, a fraction, an int
+        try:
+            if opt.type(raw) != opt.default:
+                return raw
+        except ValueError:
+            pass
+    raise AssertionError(f"no sample value for {opt.flag}")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

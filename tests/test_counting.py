@@ -1,9 +1,11 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from complexitylab.counting import (
     complexity_entropy,
@@ -34,6 +36,35 @@ def test_log_vol_su_pi_exponent(N):
     pi_free = sum(math.log(2) - math.lgamma(k + 1) for k in ks)
     coeff = (log_vol_su(N) - pi_free) / math.log(math.pi)
     assert coeff == pytest.approx((N - 1) * (N + 2) / 2)
+
+
+# The three log-gamma formulas against scipy's gammaln.  Each result is a
+# difference of large terms, so its rounding error is measured in ulp of
+# ``scale``, the sum of the magnitudes that the formula adds and cancels.
+ULPS = 8
+
+
+def test_log_vol_su_matches_gammaln():
+    for N in [*range(2, 300), 2**10, 2**16, 2**20]:
+        ks = np.arange(1, N, dtype=float)
+        terms = math.log(2.0) + (ks + 1) * math.log(math.pi)
+        lfact = gammaln(ks + 1)
+        scale = terms.sum() + lfact.sum()
+        assert abs(log_vol_su(N) - np.sum(terms - lfact)) <= ULPS * np.spacing(scale), N
+
+
+def test_log_ball_volume_matches_gammaln():
+    for n in [*range(1, 300), *(4**K - 1 for K in range(1, 21))]:
+        for eps in (1.0, 0.5, 0.01, 1e-6):
+            parts = ((n / 2) * math.log(math.pi), -gammaln(n / 2 + 1), n * math.log(eps))
+            scale = sum(map(abs, parts))
+            assert abs(log_ball_volume(n, eps) - sum(parts)) <= ULPS * np.spacing(scale), (n, eps)
+
+
+def test_log_branching_exact_matches_gammaln():
+    for K in [*range(2, 2000, 2), 10**6, 2**40]:
+        big, small = gammaln(K + 1), gammaln(K // 2 + 1)
+        assert abs(log_branching_exact(K) - (big - small)) <= ULPS * np.spacing(big + small), K
 
 
 def test_log_vol_su_rejects_small():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from complexitylab import scrambling
 from complexitylab.scrambling import (
@@ -134,6 +134,21 @@ def test_logistic_values():
     assert logistic_size(tau_star, K) == pytest.approx(0.5)
     assert logistic_size(tau_star + math.log(3), K) == pytest.approx(0.75)
     assert logistic_size(200.0, K) == pytest.approx(1.0)
+
+
+def test_logistic_matches_expit_within_4_ulp():
+    K = 10
+    taus = np.linspace(-800.0, 800.0, 160_001) + scrambling_time(K)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = logistic_size(taus, K)
+    x = taus - scrambling_time(K)
+    # expit's own e^(-x) overflows below x = -709.78 and it returns 0; there
+    # e^x / (1 + e^x) rounds to e^x
+    ref = expit(x)
+    tail = x <= -700.0
+    ref[tail] = np.exp(x[tail])
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+    assert all(logistic_size(float(t), K) == g for t, g in zip(taus[::1000], got[::1000]))
 
 
 def test_scrambling_time_values():
