@@ -18,7 +18,7 @@ import numpy as np
 
 from . import counting, geometry, holography, scrambling
 from . import thermofield as tfd
-from .gates import phase_fix, random_word, sphere_growth, two_qubit_clifford_gateset
+from .gates import _phase_aligned_distance, random_word, sphere_growth, two_qubit_clifford_gateset
 from .geometry import PenaltySchedule, curvature_ensemble, loschmidt, sample_orthogonal_pair
 from .paulis import evolve, sample_klocal
 
@@ -194,7 +194,7 @@ def check_gate_metric_axioms() -> str:
             violations.append(f"trial {trial}: negative distance")
         if dist(U @ U.conj().T) != 0:
             violations.append(f"trial {trial}: C(U, U) != 0")
-        if (c_uv == 0) != _phase_equal(U, V, gs.epsilon):
+        if (c_uv == 0) != (_phase_aligned_distance(U, V) < 10 * gs.epsilon):
             violations.append(f"trial {trial}: identity of indiscernibles")
         if c_uv != c_vu:
             violations.append(f"trial {trial}: asymmetry {c_uv} != {c_vu}")
@@ -213,10 +213,6 @@ def check_gate_metric_axioms() -> str:
             violations.append(f"switchback trial {trial}: C = {c} > {2 * n + 1}")
     assert not violations, "; ".join(violations[:5])
     return f"0 violations on 200 metric tuples and 50 switchback words (group size {ball.size})"
-
-
-def _phase_equal(U: np.ndarray, V: np.ndarray, epsilon: float) -> bool:
-    return bool(np.max(np.abs(phase_fix(U) - phase_fix(V))) < 10 * epsilon)
 
 
 def check_tfd_suite() -> str:

@@ -68,8 +68,11 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 
 def _parse_spectrum(text: str) -> np.ndarray:
     if os.path.exists(text):
-        with open(text) as fh:
-            text = ",".join(line.strip() for line in fh if line.strip())
+        try:
+            with open(text) as fh:
+                text = ",".join(line.strip() for line in fh if line.strip())
+        except (OSError, UnicodeDecodeError) as exc:
+            _usage_error(f"--spectrum: {exc}")
     try:
         values = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
     except ValueError as exc:
@@ -459,18 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        _usage_error(f"--config: no such file: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        _usage_error(f"--config: {exc}")
     entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                _usage_error(f"--config: line {lineno} is not key=value: {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            _usage_error(f"--config: line {lineno} is not key=value: {line!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
 
@@ -506,7 +511,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     args = _merge_options(args)
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        _usage_error(f"--outdir: {exc}")
     start = time.perf_counter()
     try:
         header, rows, summary = COMMANDS[args.command].handler(args)

@@ -246,12 +246,15 @@ def bfs_complexity(
     """Least word length n with target ~ g_n ... g_1, or None if the ball
     to ``max_depth`` misses the target.
 
-    A precomputed ``ball`` (from sphere_growth over the same gate set)
-    short-circuits the search.  Otherwise the search grows its own ball and
-    stops at the first block of products that reaches the target.
+    A precomputed ``ball`` (from sphere_growth over the same gate set and
+    epsilon, else ValueError) short-circuits the search.  Otherwise the
+    search grows its own ball and stops at the first block of products that
+    reaches the target.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if ball is not None and (ball.epsilon != gs.epsilon or not np.array_equal(ball.gates, np.stack(gs.matrices()))):
+        raise ValueError("ball was grown over another gate set or epsilon")
     target = np.asarray(target, dtype=complex)
     if target.shape != (gs.dim, gs.dim):
         raise ValueError(f"target shape {target.shape} does not match dim {gs.dim}")

@@ -202,9 +202,15 @@ def sectional_curvature(
     if abs(overlap) > ORTHOGONALITY_TOL * max(1.0, math.sqrt(hh * dd)):
         raise ValueError(f"Delta is not trace-orthogonal to H: Tr(H Delta) = {overlap}")
     table = CommutatorTable(list(H.terms), list(Delta.terms))
-    num = 2.0 * table.commutator_norm_sq(H.couplings(), Delta.couplings())
     prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
-    return prefactor * num / (hh * dd)
+    return prefactor * _trace_ratio(table, H.couplings(), Delta.couplings())
+
+
+def _trace_ratio(table: CommutatorTable, h: np.ndarray, d: np.ndarray) -> float:
+    """2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) for couplings h and d over the
+    table's terms.  The norms are sequential sums in term order, bit for
+    bit KLocalHamiltonian.coupling_norm_sq (h @ h would sum pairwise)."""
+    return 2.0 * table.commutator_norm_sq(h, d) / (sum((h * h).tolist()) * sum((d * d).tolist()))
 
 
 def _orthogonal_couplings(K: int, n: int, seed: int, draw: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +259,7 @@ def curvature_ensemble(
     table = CommutatorTable(strings, strings)
     ratios = np.empty(trials)
     for i in range(trials):
-        h, d = _orthogonal_couplings(K, len(strings), seed, i)
-        # sequential sums in term order, bit for bit KLocalHamiltonian.coupling_norm_sq (h @ h sums pairwise)
-        ratios[i] = 2.0 * table.commutator_norm_sq(h, d) / (sum((h * h).tolist()) * sum((d * d).tolist()))
+        ratios[i] = _trace_ratio(table, *_orthogonal_couplings(K, len(strings), seed, i))
     curvatures = prefactor * ratios
 
     def stderr(x: np.ndarray) -> float:

@@ -1,12 +1,14 @@
 """AdS-Schwarzschild geometry made numerical.
 
-Blackening factor, horizon, Hawking temperature and horizon entropy of
-the eternal black hole; the critical interior surface whose volume rate
-bounds the late-time growth of the Einstein-Rosen bridge; maximal-volume
-slices anchored at finite boundary times; volume-complexity growth rates;
-and the late-time action growth of the Wheeler-DeWitt patch, which equals
-2M for neutral static black holes of any size and therefore saturates the
-2M / (pi hbar) bound on complexity growth.
+The eternal black hole is a BlackHoleSpec, which carries its horizon
+radius, Hawking temperature, horizon entropy and critical interior
+radius.  Around it sit the blackening factor; the critical interior
+surface whose volume rate bounds the late-time growth of the
+Einstein-Rosen bridge; maximal-volume slices anchored at finite boundary
+times; volume-complexity growth rates; and the late-time action growth of
+the Wheeler-DeWitt patch, which equals 2M for neutral static black holes
+of any size and therefore saturates the 2M / (pi hbar) bound on
+complexity growth.
 
 Units default to G = l_ads = hbar = 1 and every quantity is configurable
 through BlackHoleSpec.
@@ -79,20 +81,38 @@ class BlackHoleSpec:
 
     @cached_property
     def r_h(self) -> float:
-        return horizon(self)
+        """Horizon radius: the unique positive root of the blackening factor
+        (f is strictly increasing)."""
+        hi = max(self.l_ads, self.mu ** (1.0 / (self.d - 3)), 1.0)
+        while blackening(self, hi) <= 0:
+            hi *= 2
+        lo = hi
+        while blackening(self, lo) >= 0:
+            lo /= 2
+        return brentq(lambda r: blackening(self, r), lo, hi, xtol=1e-300, rtol=_BRENTQ_RTOL)
 
     @cached_property
     def r_m(self) -> float:
-        """Critical interior radius of critical_surface, found once per spec."""
-        return _critical_radius(self)
+        """Critical interior radius of critical_surface, the one maximizing
+        r^(d-2) sqrt|f|.  The stationarity condition
+        (d-1) mu - (2d-4) r^(d-3) - (2d-2) r^(d-1)/l^2 = 0 is strictly
+        decreasing in r, so the maximizer is its unique root."""
+        d, l = self.d, self.l_ads
+
+        def stationarity(r: float) -> float:
+            return (d - 1) * self.mu - (2 * d - 4) * r ** (d - 3) - (2 * d - 2) * r ** (d - 1) / l**2
+
+        return brentq(stationarity, 1e-12 * self.r_h, self.r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
 
     @cached_property
     def temperature(self) -> float:
-        return hawking_temperature(self)
+        """Surface-gravity (Hawking) temperature f'(r_h) / (4 pi)."""
+        return blackening_derivative(self, self.r_h) / (4 * math.pi)
 
     @cached_property
     def entropy(self) -> float:
-        return bekenstein_entropy(self)
+        """Horizon area over 4G: Omega_{d-2} r_h^(d-2) / (4G)."""
+        return self.omega * self.r_h ** (self.d - 2) / (4 * self.G)
 
 
 def blackening(spec: BlackHoleSpec, r: float):
@@ -112,44 +132,6 @@ def _blackening_second(spec: BlackHoleSpec, r: float) -> float:
     return -(spec.d - 2) * (spec.d - 3) * spec.mu / r ** (spec.d - 1) + 2 / spec.l_ads**2
 
 
-def horizon(spec: BlackHoleSpec) -> float:
-    """Unique positive root of the blackening factor (f is strictly increasing)."""
-    hi = max(spec.l_ads, spec.mu ** (1.0 / (spec.d - 3)), 1.0)
-    while blackening(spec, hi) <= 0:
-        hi *= 2
-    lo = hi
-    while blackening(spec, lo) >= 0:
-        lo /= 2
-    return brentq(lambda r: blackening(spec, r), lo, hi, xtol=1e-300, rtol=_BRENTQ_RTOL)
-
-
-def hawking_temperature(spec: BlackHoleSpec) -> float:
-    """Surface-gravity temperature f'(r_h) / (4 pi)."""
-    return blackening_derivative(spec, spec.r_h) / (4 * math.pi)
-
-
-def bekenstein_entropy(spec: BlackHoleSpec) -> float:
-    """Horizon area over 4G: Omega_{d-2} r_h^(d-2) / (4G)."""
-    return spec.omega * spec.r_h ** (spec.d - 2) / (4 * spec.G)
-
-
-def _interior_weight(spec: BlackHoleSpec, r: float) -> float:
-    """W(r) = -r^(2(d-2)) f(r), positive between the singularity and the horizon."""
-    return -(r ** (2 * (spec.d - 2))) * blackening(spec, r)
-
-
-def _critical_radius(spec: BlackHoleSpec) -> float:
-    """The interior radius maximizing r^(d-2) sqrt|f|.  The stationarity condition
-    (d-1) mu - (2d-4) r^(d-3) - (2d-2) r^(d-1)/l^2 = 0 is strictly decreasing
-    in r, so the maximizer is its unique root."""
-    d, l = spec.d, spec.l_ads
-
-    def stationarity(r: float) -> float:
-        return (d - 1) * spec.mu - (2 * d - 4) * r ** (d - 3) - (2 * d - 2) * r ** (d - 1) / l**2
-
-    return brentq(stationarity, 1e-12 * spec.r_h, spec.r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
-
-
 def critical_surface(spec: BlackHoleSpec) -> tuple[float, float]:
     """(r_m, V_d): the interior radius maximizing r^(d-2) sqrt|f| and the
     corresponding limiting volume rate Omega_{d-2} r_m^(d-2) sqrt|f(r_m)|."""
@@ -159,7 +141,8 @@ def critical_surface(spec: BlackHoleSpec) -> tuple[float, float]:
 def critical_energy(spec: BlackHoleSpec) -> float:
     """Per-unit-sphere limiting rate E_c = r_m^(d-2) sqrt|f(r_m)|; maximal
     conserved energy of an interior maximal-volume slice."""
-    return math.sqrt(_interior_weight(spec, spec.r_m))
+    r_m = spec.r_m
+    return math.sqrt(-(r_m ** (2 * (spec.d - 2))) * blackening(spec, r_m))
 
 
 @dataclass(frozen=True)
@@ -300,8 +283,6 @@ def volume_curve(
     eta_max: float = 1e-1,
     eta_min: float = 1e-5,
     points: int = 16,
-    r_cut: float | None = None,
-    tol: float = DEFAULT_QUAD_TOL,
 ) -> list[VolumeCurvePoint]:
     """Slices on a geometric grid E = E_c (1 - eta) approaching criticality.
     A slice's ValueError is re-raised with that slice's eta and E."""
@@ -315,7 +296,7 @@ def volume_curve(
     for eta in etas:
         E = e_c * (1.0 - eta)
         try:
-            curve.append(interior_volume(spec, E, r_cut=r_cut, tol=tol))
+            curve.append(interior_volume(spec, E))
         except ValueError as exc:
             raise ValueError(f"{exc}; failed slice: eta {eta:.6g}, E {E:.6g}") from exc
     return curve

@@ -365,6 +365,30 @@ def test_bad_spectrum_or_target_exits_2(tmp_path, capsys, argv, target):
 
 
 @pytest.mark.parametrize(
+    "flag, path",
+    [
+        ("--spectrum", "."),
+        ("--spectrum", "binary"),
+        ("--config", "."),
+        ("--config", "binary"),
+        ("--outdir", "file"),
+        ("--outdir", "file/sub"),
+    ],
+)
+def test_unreadable_path_exits_2(flag, path, tmp_path, capsys):
+    # a directory, a file that is not UTF-8 text, and an output directory that is or lies under a file
+    (tmp_path / "file").write_text("0,1\n")
+    (tmp_path / "binary").write_bytes(b"\xff\xfebeta=1\n")
+    argv = ["tfd", flag, str(tmp_path / path)]
+    if flag != "--outdir":
+        argv += ["--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["bfs", "--epsilon", "nan", "--gateset", "cnot"],

@@ -130,6 +130,20 @@ def test_negative_depth_is_rejected_with_or_without_a_ball():
             bfs_complexity(np.eye(4, dtype=complex), gs, -1, ball=prebuilt)
 
 
+def test_bfs_refuses_a_ball_from_another_gate_set_or_epsilon(clifford_ball):
+    clifford, clifford_full = clifford_ball
+    word = random_word(clifford, 5, np.random.default_rng(8))
+    depth = bfs_complexity(word, clifford, 5)
+    assert depth is not None
+    # the same gates and epsilon, grown separately, are accepted
+    assert bfs_complexity(word, clifford, 5, ball=sphere_growth(two_qubit_clifford_gateset(), 5)) == depth
+    assert bfs_complexity(word, clifford, 5, ball=clifford_full) == depth
+    cnot = cnot_pair_gateset()
+    for foreign in (sphere_growth(cnot, 10), sphere_growth(two_qubit_clifford_gateset(1e-4), 5)):
+        with pytest.raises(ValueError, match="another gate set or epsilon"):
+            bfs_complexity(word, clifford, 5, ball=foreign)
+
+
 def test_relative_complexity_axioms_sampled(clifford_ball):
     gs, ball = clifford_ball
     rng = np.random.default_rng(3)

@@ -295,6 +295,15 @@ def test_curvature_ensemble_reproducible_and_consistent():
     assert math.isnan(single.stderr) and math.isnan(single.trace_ratio_stderr)
 
 
+@pytest.mark.parametrize("K", [4, 6, 8])
+def test_single_trial_ensemble_is_the_pair_curvature_bit_for_bit(K):
+    # both go through one trace-ratio helper, so they divide in the same order
+    for seed in range(40):
+        single = curvature_ensemble(K, K2_SCHEDULE, trials=1, seed=seed)
+        hk, dk = sample_orthogonal_pair(K, seed, 0)
+        assert single.mean == sectional_curvature(hk, dk, K2_SCHEDULE), f"seed {seed}"
+
+
 @pytest.mark.parametrize("K", [4, 6])
 def test_curvature_ensemble_matches_a_loop_over_sampled_pairs(K):
     # reference: Hamiltonian pairs, their own term tables and coupling_norm_sq

@@ -12,12 +12,10 @@ from complexitylab import holography
 from complexitylab.holography import (
     BlackHoleSpec,
     _turning_factor,
-    bekenstein_entropy,
     blackening,
     critical_energy,
     critical_surface,
     cv_rate,
-    hawking_temperature,
     interior_volume,
     lloyd_bound,
     rindler_rate,
@@ -59,14 +57,14 @@ def test_horizon_identity_chain(spec):
 def test_hawking_temperature_value():
     spec = BlackHoleSpec(d=4, mu=1.0)
     expected = (spec.mu / spec.r_h**2 + 2 * spec.r_h) / (4 * math.pi)
-    assert hawking_temperature(spec) == pytest.approx(expected, rel=1e-12)
-    assert hawking_temperature(spec) == pytest.approx(0.2795, abs=5e-5)
+    assert spec.temperature == pytest.approx(expected, rel=1e-12)
+    assert spec.temperature == pytest.approx(0.2795, abs=5e-5)
 
 
 def test_bekenstein_entropy_d4():
     spec = BlackHoleSpec(d=4, mu=2.0, G=0.5)
     assert spec.omega == pytest.approx(4 * math.pi)
-    assert bekenstein_entropy(spec) == pytest.approx(math.pi * spec.r_h**2 / spec.G)
+    assert spec.entropy == pytest.approx(math.pi * spec.r_h**2 / spec.G)
 
 
 def test_mass_mu_round_trip():
