@@ -12,18 +12,26 @@ complexity growth.
 
 Units default to G = l_ads = hbar = 1 and every quantity is configurable
 through BlackHoleSpec.
+
+The root finds use ``brentq``, a port of scipy's Brent solver; the only
+scipy call is ``quad``, so a spec, its horizon and critical radius and
+every rate that needs no slice load no scipy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-_BRENTQ_RTOL = 4 * np.finfo(float).eps
+# Python floats, like every root brentq returns: an integrand evaluated at
+# a numpy scalar would run numpy scalar arithmetic.
+_BRENTQ_RTOL = 4 * sys.float_info.epsilon
+_BRENTQ_MAXITER = 100
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_RCUT_FACTOR = 1e3
 
@@ -37,11 +45,67 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on first call like ``quad``."""
-    from scipy.optimize import brentq
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in [a, b] by Brent's method, a port of scipy's brentq.c.
 
-    return brentq(*args, **kwargs)
+    Same iteration, same stopping rule (half the bracket below
+    delta = (xtol + rtol |x|)/2) and at most 100 iterations, so on the same
+    f it returns scipy.optimize.brentq's root bit for bit after the same
+    evaluations.  a, b, the tolerances and every value of f are taken as
+    Python floats, and so is the root.  A bracket whose ends have the same
+    sign, a NaN value of f, or no convergence within 100 iterations raises
+    ValueError.
+    """
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"root find: f({x:.6g}) is NaN")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"root find: f({xpre:.6g}) = {fpre:.6g} and f({xcur:.6g}) = {fcur:.6g} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is then inf or nan, and fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ValueError(f"root find did not converge in {_BRENTQ_MAXITER} iterations on the bracket [{a:.6g}, {b:.6g}]")
 
 
 @dataclass(frozen=True)

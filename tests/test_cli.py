@@ -49,6 +49,15 @@ def test_wdw_default_run(tmp_path, capsys):
     assert "wall_time_s:" in summary
 
 
+def test_wdw_reports_the_rindler_rate(tmp_path):
+    args = ["--dim", "5", "--mu", "10", "--lads", "2", "--G", "0.5"]
+    assert main(["wdw", *args, "--outdir", str(tmp_path)]) == 0
+    summary = dict(line.split(": ") for line in read(tmp_path / "wdw_summary.txt").decode().splitlines())
+    spec = holography.BlackHoleSpec(d=5, mu=10.0, l_ads=2.0, G=0.5)
+    _, v_d = holography.critical_surface(spec)
+    assert float(summary["rindler_rate"]) == pytest.approx(v_d / (2.0 * 0.5) / (2 * np.pi * spec.temperature), rel=1e-14)
+
+
 def test_wdw_higher_dimension(tmp_path):
     assert main(["wdw", "--dim", "7", "--mu", "2.5", "--outdir", str(tmp_path)]) == 0
     row = read(tmp_path / "wdw.csv").decode().splitlines()[1].split(",")
@@ -281,9 +290,10 @@ def test_importing_the_bare_package_loads_neither_numpy_nor_scipy(tmp_path):
         (["bfs", "--gateset", "cnot"], False),
         (["curvature", "--qubits", "4", "--trials", "5"], False),
         (["tfd"], False),
-        (["wdw"], True),  # a command that calls brentq: the probe sees scipy when it is there
+        (["wormhole", "--egrid-points", "2"], True),  # a command that calls quad: the probe sees scipy when it is there
         (["counting"], False),
         (["scramble"], False),
+        (["wdw"], False),
     ],
 )
 def test_only_the_commands_that_call_scipy_load_it(argv, loads_scipy, tmp_path):
@@ -293,11 +303,21 @@ def test_only_the_commands_that_call_scipy_load_it(argv, loads_scipy, tmp_path):
     assert (loaded != "[]") == loads_scipy, loaded
 
 
+def test_a_black_hole_and_its_rates_load_no_scipy(tmp_path):
+    # only a slice's quadrature needs scipy: the root finds are holography's own
+    code = (
+        "from complexitylab import holography as h; s = h.BlackHoleSpec(d=4, mu=100.0); "
+        "s.r_h, s.r_m, s.temperature, s.entropy, h.critical_energy(s), h.wdw_action_rate(s), "
+        f"h.lloyd_bound(s), h.cv_rate(s), h.rindler_rate(s); {SCIPY_LOADED}"
+    )
+    assert _fresh_python(code, tmp_path) == "[]\n"
+
+
 def test_paper_suite_loads_scipy_before_its_first_check(tmp_path):
     # the import is timed as its own summary entry, not charged to the first check
     code = (
         "import sys; from complexitylab import acceptance, cli; "
-        "acceptance.CHECKS = [('probe', lambda: str('scipy.optimize' in sys.modules))]; "
+        "acceptance.CHECKS = [('probe', lambda: str('scipy.integrate' in sys.modules))]; "
         f"assert cli.main(['paper-suite', '--outdir', {str(tmp_path)!r}]) == 0"
     )
     _fresh_python(code, tmp_path)
@@ -440,6 +460,10 @@ def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
             ["wormhole", "--eta-max", "0.999999999999", "--eta-min", "0.9999999999", "--egrid-points", "2"],
             "E = 4.81833e-11 is too small: its turning point rounds onto the horizon",
         ),
+        # the horizon bracket reaches mu^(1/(d-3)), 66 decades above r_h: more than 100 Brent steps
+        (["wdw", "--mu", "1e100"], "root find did not converge in 100 iterations on the bracket [1.48368e+33, 1e+100]\n"),
+        # r_m^(2(d-2)) in the critical energy overflows a float
+        (["wormhole", "--dim", "7", "--mu", "1e200"], "(34, 'Numerical result out of range')\n"),
     ],
 )
 def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, capsys):

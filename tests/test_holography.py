@@ -311,6 +311,90 @@ def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
         assert root_finds[first + 1 : first + 34] == [1] * 33
 
 
+def _spec_grid_slices(d, masses=(0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)):
+    """(spec, E) at 40 energies from 1e-3 E_c to within 1e-9 of E_c, for each
+    mass parameter in d bulk dimensions; fresh specs, as above."""
+    slices = []
+    for mu in masses:
+        spec = BlackHoleSpec(d=d, mu=mu)
+        e_c = critical_energy(BlackHoleSpec(d=d, mu=mu))
+        slices += [(spec, e_c * (1 - eta)) for eta in np.geomspace(0.999, 1e-9, 40)]
+    return slices
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8, "benchmark", "tiny mu"])
+def test_brentq_port_matches_scipy_bit_for_bit(d, monkeypatch):
+    # every root find of these slices (horizon, critical radius, turning point)
+    # runs through the port and through scipy.optimize.brentq on the same f;
+    # at tiny mu an extrapolation divides by an underflowed zero, which C
+    # turns into a rejected step and Python into ZeroDivisionError
+    port, found = holography.brentq, []
+
+    def both(f, a, b, xtol, rtol):
+        calls = [0, 0]
+
+        def counted(side):
+            def g(x):
+                calls[side] += 1
+                return f(x)
+
+            return g
+
+        root = port(counted(0), a, b, xtol=xtol, rtol=rtol)
+        found.append((root, type(root), calls[0], scipy_brentq(counted(1), a, b, xtol=xtol, rtol=rtol), calls[1]))
+        return root
+
+    if d == "benchmark":
+        slices = _benchmark_slices()
+    elif d == "tiny mu":
+        slices = _spec_grid_slices(4, (1e-65, 1e-35))
+    else:
+        slices = _spec_grid_slices(d)
+    monkeypatch.setattr(holography, "brentq", both)
+    monkeypatch.setattr(holography, "quad", lambda *args, **kwargs: (0.0, 0.0, {}))  # root finds only
+    for spec, E in slices:
+        interior_volume(spec, E)
+    assert len(found) == len(slices) + 2 * (len(slices) // (34 if d == "benchmark" else 40))
+    ours = [(root, kind, n) for root, kind, n, _, _ in found]
+    assert ours == [(root, float, n) for *_, root, n in found]  # scipy's root and evaluation count, as a float
+    if d == "benchmark":  # turning points only: the traced wormhole-scramble round's holography.brentq.evals
+        assert sum(n for i, (*_, n) in enumerate(found) if i % 36 > 1) == 1980
+
+
+def test_brentq_returns_a_python_float_for_numpy_inputs():
+    # a numpy root would make every integrand evaluated at it numpy arithmetic
+    assert type(holography._BRENTQ_RTOL) is float
+    E, rtol = np.float64(0.3), np.float64(4 * np.finfo(float).eps)
+    root = holography.brentq(lambda r: E * E - r**3, np.float64(0.0), np.float64(1.0), xtol=1e-300, rtol=rtol)
+    assert type(root) is float and root == scipy_brentq(lambda r: E * E - r**3, 0.0, 1.0, xtol=1e-300, rtol=rtol)
+    spec = BlackHoleSpec(d=4, mu=100.0)
+    assert type(interior_volume(spec, np.float64(0.5) * critical_energy(spec)).r_turn) is float
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (lambda x: x * x + 1.0, "have the same sign"),
+        (lambda x: math.nan if x > 0.6 else x - 0.7, r"f\(1\) is NaN"),
+        (lambda x: math.nan if 0.65 < x < 0.75 else x - 0.7, r"f\(0\.7\) is NaN"),  # at the first step
+    ],
+)
+def test_brentq_rejects_a_bad_bracket_or_a_nan_like_scipy(f, message):
+    with pytest.raises(ValueError, match=message):
+        holography.brentq(f, 0.0, 1.0, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
+    with pytest.raises(ValueError):
+        scipy_brentq(f, 0.0, 1.0, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
+
+
+def test_brentq_gives_up_after_scipys_100_iterations(monkeypatch):
+    # the horizon bracket of mu = 1e100 spans 67 decades, too many for 100 steps
+    with pytest.raises(ValueError, match=r"did not converge in 100 iterations on the bracket \[1\.48368e\+33, 1e\+100\]"):
+        BlackHoleSpec(d=4, mu=1e100).r_h
+    monkeypatch.setattr(holography, "brentq", scipy_brentq)
+    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+        BlackHoleSpec(d=4, mu=1e100).r_h
+
+
 def test_outer_anchor_time_in_log_coordinates_matches_the_integral_in_r(monkeypatch):
     # reference: the outer anchor time integrated in r over [r_h + delta, r_cut],
     # as before the substitution v = ln(r - r_h); the other integrals are unchanged
