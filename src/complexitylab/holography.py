@@ -1,9 +1,9 @@
 """AdS-Schwarzschild geometry made numerical.
 
 The eternal black hole is a BlackHoleSpec, which carries its horizon
-radius, Hawking temperature, horizon entropy and critical interior
-radius.  Around it sit the blackening factor; the critical interior
-surface whose volume rate bounds the late-time growth of the
+radius, Hawking temperature, horizon entropy, critical interior radius
+and critical energy.  Around it sit the blackening factor; the critical
+interior surface whose volume rate bounds the late-time growth of the
 Einstein-Rosen bridge; maximal-volume slices anchored at finite boundary
 times; volume-complexity growth rates; and the late-time action growth of
 the Wheeler-DeWitt patch, which equals 2M for neutral static black holes
@@ -34,6 +34,7 @@ _BRENTQ_RTOL = 4 * sys.float_info.epsilon
 _BRENTQ_MAXITER = 100
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_RCUT_FACTOR = 1e3
+_POLE_BAND = 1e-9  # relative half-width of the band about r_h where the pole subtraction cancels to noise
 
 
 # Every call site goes through these two module names, so a caller that
@@ -169,6 +170,13 @@ class BlackHoleSpec:
         return brentq(stationarity, 1e-12 * self.r_h, self.r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
 
     @cached_property
+    def e_c(self) -> float:
+        """Critical energy r_m^(d-2) sqrt|f(r_m)|, the largest conserved
+        energy of an interior maximal-volume slice (critical_energy)."""
+        r_m = self.r_m
+        return math.sqrt(-(r_m ** (2 * (self.d - 2))) * blackening(self, r_m))
+
+    @cached_property
     def temperature(self) -> float:
         """Surface-gravity (Hawking) temperature f'(r_h) / (4 pi)."""
         return blackening_derivative(self, self.r_h) / (4 * math.pi)
@@ -199,14 +207,13 @@ def _blackening_second(spec: BlackHoleSpec, r: float) -> float:
 def critical_surface(spec: BlackHoleSpec) -> tuple[float, float]:
     """(r_m, V_d): the interior radius maximizing r^(d-2) sqrt|f| and the
     corresponding limiting volume rate Omega_{d-2} r_m^(d-2) sqrt|f(r_m)|."""
-    return spec.r_m, spec.omega * critical_energy(spec)
+    return spec.r_m, spec.omega * spec.e_c
 
 
 def critical_energy(spec: BlackHoleSpec) -> float:
     """Per-unit-sphere limiting rate E_c = r_m^(d-2) sqrt|f(r_m)|; maximal
-    conserved energy of an interior maximal-volume slice."""
-    r_m = spec.r_m
-    return math.sqrt(-(r_m ** (2 * (spec.d - 2))) * blackening(spec, r_m))
+    conserved energy of an interior maximal-volume slice (spec.e_c)."""
+    return spec.e_c
 
 
 @dataclass(frozen=True)
@@ -262,24 +269,33 @@ def interior_volume(
     the Taylor expansion of P about r_turn divided by x (_turning_factor).
     Near criticality g(0) = P'(r_turn) is small, and evaluating g directly
     keeps the radicand free of the cancellation a difference of two
-    values of P would suffer.  The volume integrand has an
-    inverse-square-root endpoint singularity at the turning point; the
-    substitution r = r_turn + u^2 turns it into the smooth
-    4 r^(2(d-2)) / sqrt(g(u^2)).  The boundary anchor time integrates
-    dt/dr = E / (f sqrt(x g(x))) across the simple pole at the horizon as
-    a principal value: over a window symmetric about r_h the subtracted
-    pole s / (f'(r_h) (r - r_h)) integrates to zero, and the remainder is
-    regular.  Beyond the window, out to r_cut three decades away, dt/dr
-    is a power-law tail; it is integrated in v = ln(r - r_h), dr = e^v dv,
-    where the integrand is smooth and nearly flat.  Of the two geodesic
-    branches through the turning point the one reaching the boundary at
-    positive anchor time is reported, and the symmetric two-sided
-    configuration makes boundary_time_sum = 2 t_r.
+    values of P would suffer.
 
-    Every integral is checked: a quadrature that reports a failure, or
+    Both integrals run in the stretched coordinate r = r_turn +
+    a^2 sinh^2(w).  sqrt(x) = a sinh(w) cancels the inverse-square-root
+    branch point at the turning point, and a = sqrt(g(0) / g'(0)), at
+    most sqrt(r_h - r_turn), is the width of the peak of 1/sqrt(g) there,
+    narrow near criticality and flat in w.  The volume integrand is
+    4 a cosh(w) r^(2(d-2)) / sqrt(g).  The boundary anchor time
+    integrates dt/dr = E / (f sqrt(x g(x))) from r_turn out to r_cut,
+    three decades away, across the simple pole at the horizon as a
+    principal value: the quadrature takes dt/dr minus the pole
+    1/(f'(r_h) (r - r_h)), times dr/dw = 2 a^2 sinh(w) cosh(w), which is
+    regular at the horizon and tends to -2/f'(r_h) far out, where w grows
+    like ln(r)/2; the pole's principal value
+    ln((r_cut - r_h) / (r_h - r_turn)) / f'(r_h) is added in closed
+    form.  Of the two geodesic branches through the turning point the one
+    reaching the boundary at positive anchor time is reported, and the
+    symmetric two-sided configuration makes boundary_time_sum = 2 t_r.
+
+    Both integrals are checked: a quadrature that reports a failure, or
     whose error estimate exceeds max(tol, tol |result|), raises ValueError.
+    So does a turning point within 1e-6 r_h of the horizon, where the band
+    about r_h in which dt/dr minus its pole is taken at its limit would not
+    be small against r_h - r_turn.
     """
-    e_c = critical_energy(spec)
+    E = float(E)  # a numpy scalar would make every integrand numpy arithmetic
+    e_c = spec.e_c
     if not 0 <= E < e_c:
         raise ValueError(f"need 0 <= E < E_c = {e_c:.6g}, got E = {E}")
     r_h = spec.r_h
@@ -298,6 +314,12 @@ def interior_volume(
     r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), spec.r_m, r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
     if r_turn >= r_h:
         raise ValueError(f"E = {E:.6g} is too small: its turning point rounds onto the horizon r_h = {r_h:.6g}")
+    x_h = r_h - r_turn
+    if x_h < 1e3 * _POLE_BAND * r_h:  # dt/dr minus its pole varies on the scale x_h
+        raise ValueError(
+            f"E = {E:.6g} is too small: its turning point lies within {1e3 * _POLE_BAND:.0e} r_h of the horizon "
+            f"r_h = {r_h:.6g} (r_h - r_turn = {x_h:.3g})"
+        )
     coeffs = _turning_factor(spec, r_turn)
 
     def g(x: float) -> float:
@@ -306,39 +328,36 @@ def interior_volume(
             acc = acc * x + c
         return acc
 
-    def vol_integrand(u: float) -> float:
-        x = u * u
-        return 4.0 * (r_turn + x) ** two_dm2 / math.sqrt(g(x))
+    g0, g1 = coeffs[-1], coeffs[-2]
+    a2 = g0 / g1 if g1 * x_h > g0 else x_h
+    a = math.sqrt(a2)
 
-    volume = _integrate("volume", vol_integrand, 0.0, math.sqrt(r_h - r_turn), tol)
+    def vol_integrand(w: float) -> float:
+        s = math.sinh(w)
+        x = a2 * s * s
+        return 4.0 * a * math.cosh(w) * (r_turn + x) ** two_dm2 / math.sqrt(g(x))
+
+    w_h = math.asinh(math.sqrt(x_h / a2))
+    volume = _integrate("volume", vol_integrand, 0.0, w_h, tol)
 
     fp_h = blackening_derivative(spec, r_h)
     fpp_h = _blackening_second(spec, r_h)
-    delta = 0.5 * min(r_h - r_turn, r_cut - r_h)
-
-    def time_integrand(r: float) -> float:
-        x = r - r_turn
-        return E / (f(r) * math.sqrt(x * g(x)))
-
-    def time_integrand_u(u: float) -> float:
-        x = u * u
-        return 2.0 * E / (f(r_turn + x) * math.sqrt(g(x)))
-
-    def time_integrand_log(v: float) -> float:
-        y = math.exp(v)
-        return y * time_integrand(r_h + y)
-
     pole_limit = -(fpp_h / (2 * fp_h**2) + r_h**two_dm2 / (2 * E * E))
 
-    def subtracted(r: float) -> float:
-        if abs(r - r_h) < 1e-9 * r_h:
-            return pole_limit
-        return time_integrand(r) - 1.0 / (fp_h * (r - r_h))
+    def time_integrand(w: float) -> float:
+        # dt/dr minus the horizon pole 1/(f'(r_h)(r - r_h)), times dr/dw
+        s, c = math.sinh(w), math.cosh(w)
+        x = a2 * s * s
+        r = r_turn + x
+        if abs(r - r_h) < _POLE_BAND * r_h:
+            return pole_limit * 2.0 * a2 * s * c
+        return 2.0 * a * c * (E / (f(r) * math.sqrt(g(x))) - a * s / (fp_h * (r - r_h)))
 
-    t1 = _integrate("inner anchor-time", time_integrand_u, 0.0, math.sqrt(r_h - delta - r_turn), tol)
-    t2 = _integrate("horizon anchor-time", subtracted, r_h - delta, r_h + delta, tol, points=[r_h])
-    t3 = _integrate("outer anchor-time", time_integrand_log, math.log(delta), math.log(r_cut - r_h), tol)
-    t_r = -(t1 + t2 + t3)
+    w_cut = math.asinh(math.sqrt((r_cut - r_turn) / a2))
+    t_r = -(
+        _integrate("anchor-time", time_integrand, 0.0, w_cut, tol, points=[w_h])
+        + math.log((r_cut - r_h) / x_h) / fp_h
+    )
     return VolumeCurvePoint(E, r_turn, volume, 2.0 * t_r)
 
 
@@ -354,10 +373,9 @@ def volume_curve(
         raise ValueError("need at least 2 grid points")
     if not 0 < eta_min < eta_max <= 1:
         raise ValueError(f"need 0 < eta_min < eta_max <= 1, got eta_min {eta_min}, eta_max {eta_max}")
-    e_c = critical_energy(spec)
-    etas = np.geomspace(eta_max, eta_min, points)
+    e_c = spec.e_c
     curve = []
-    for eta in etas:
+    for eta in np.geomspace(eta_max, eta_min, points).tolist():  # Python floats, so E is one too
         E = e_c * (1.0 - eta)
         try:
             curve.append(interior_volume(spec, E))

@@ -253,11 +253,19 @@ def test_wormhole_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "volume integral did not converge: abserr 1, tol 1e-10 (injected failure)" in capsys.readouterr().err
 
 
-def test_failed_wormhole_slice_names_its_eta_and_energy(tmp_path, capsys):
-    # The first slice of this grid lies below the early-time limit of the anchor-time integrals.
+def test_failed_wormhole_slice_names_its_eta_and_energy(tmp_path, monkeypatch, capsys):
+    # The anchor-time integral, the one quadrature with a breakpoint, fails on the first slice.
+    real_quad = holography.quad
+
+    def failing_anchor_time(fn, a, b, points=None, **kwargs):
+        if points is not None:
+            return 0.0, 1.0, {}, "injected failure"
+        return real_quad(fn, a, b, points=points, **kwargs)
+
+    monkeypatch.setattr(holography, "quad", failing_anchor_time)
     assert main(["wormhole", "--eta-max", "0.99", "--eta-min", "0.9", "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: horizon anchor-time integral did not converge")
+    assert err.startswith("error: anchor-time integral did not converge: abserr 1, tol 1e-10 (injected failure)")
     assert err.rstrip().endswith("; failed slice: eta 0.99, E 0.481844")
     assert list(tmp_path.iterdir()) == []
 

@@ -153,6 +153,35 @@ def test_interior_volume_rejects_a_turning_point_on_the_horizon(ratio):
         interior_volume(spec, E)
 
 
+@pytest.mark.parametrize("d, mu", [(4, 100.0), (5, 10.0), (6, 1.0)])
+def test_interior_volume_rejects_a_turning_point_within_the_pole_band(d, mu):
+    # from about E = 10^-2.4 E_c the turning point lies within 1e-6 r_h of the
+    # horizon; unchecked, E = 10^-5.5 E_c gave anchor times 1e8 times too large
+    spec = BlackHoleSpec(d=d, mu=mu)
+    for k in (2.5, 4.8, 5.5, 7.0):
+        with pytest.raises(ValueError, match=r"is too small: its turning point lies within 1e-06 r_h of the horizon"):
+            interior_volume(spec, 10**-k * critical_energy(spec))
+
+
+def test_early_slice_against_mpmath():
+    # E = 1e-2 E_c: r_h - r_turn = 8.4e-6 r_h, just outside the rejected band;
+    # the anchor-time integral and the pole's closed form cancel to 2.4e-7
+    spec = BlackHoleSpec(d=4, mu=100.0)
+    E = 1e-2 * critical_energy(spec)
+    volume, t_sum = _mpmath_slice(4, 100.0, E)
+    p = interior_volume(spec, E)
+    assert p.interior_volume_per_sphere == pytest.approx(volume, rel=1e-10)
+    assert p.boundary_time_sum == pytest.approx(t_sum, rel=1e-6)
+
+
+def test_volume_curve_is_its_slices_at_python_float_energies():
+    spec = BlackHoleSpec(d=4, mu=100.0)
+    points = volume_curve(spec, eta_max=1e-1, eta_min=1e-5, points=13)
+    assert all(type(p.E) is float for p in points)
+    e_c = critical_energy(spec)
+    assert points == [interior_volume(spec, e_c * (1.0 - eta)) for eta in np.geomspace(1e-1, 1e-5, 13).tolist()]
+
+
 @pytest.mark.parametrize("eta_min, eta_max", [(0.2, 0.1), (1e-3, 1e-3), (0.0, 0.1), (1e-5, 1.5)])
 def test_volume_curve_rejects_a_bad_eta_range(eta_min, eta_max):
     with pytest.raises(ValueError, match="eta_min < eta_max"):
@@ -285,14 +314,17 @@ def _benchmark_slices():
 
 def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
     # 102 slices took 76,608 integrand evaluations and 2 root finds a slice
-    # before the outer anchor time moved to v = ln(r - r_h) and r_m was cached
-    evals, root_finds = [0], []
+    # before the outer anchor time moved to v = ln(r - r_h) and r_m was cached,
+    # and 31,374 evaluations in 4 quadratures a slice before both integrals
+    # moved to the stretched coordinate
+    evals, quads, root_finds = [0], [], []
 
     def counted_quad(fn, *args, **kwargs):
         def counted(*x):
             evals[0] += 1
             return fn(*x)
 
+        quads[-1] += 1
         return quad(counted, *args, **kwargs)
 
     def counted_brentq(*args, **kwargs):
@@ -304,8 +336,10 @@ def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
     monkeypatch.setattr(holography, "brentq", counted_brentq)
     for spec, E in slices:
         root_finds.append(0)
+        quads.append(0)
         interior_volume(spec, E)
-    assert evals[0] <= 35_000
+    assert evals[0] <= 17_000
+    assert quads == [2] * 102  # the volume and the anchor time
     for first in range(0, 102, 34):
         assert root_finds[first] == 3  # the horizon, the critical radius and the turning point
         assert root_finds[first + 1 : first + 34] == [1] * 33
@@ -353,7 +387,10 @@ def test_brentq_port_matches_scipy_bit_for_bit(d, monkeypatch):
     monkeypatch.setattr(holography, "brentq", both)
     monkeypatch.setattr(holography, "quad", lambda *args, **kwargs: (0.0, 0.0, {}))  # root finds only
     for spec, E in slices:
-        interior_volume(spec, E)
+        try:
+            interior_volume(spec, E)
+        except ValueError as exc:  # E = 1e-3 E_c is too small, which is found after its turning point
+            assert "is too small: its turning point lies within 1e-06 r_h" in str(exc)
     assert len(found) == len(slices) + 2 * (len(slices) // (34 if d == "benchmark" else 40))
     ours = [(root, kind, n) for root, kind, n, _, _ in found]
     assert ours == [(root, float, n) for *_, root, n in found]  # scipy's root and evaluation count, as a float
@@ -368,7 +405,9 @@ def test_brentq_returns_a_python_float_for_numpy_inputs():
     root = holography.brentq(lambda r: E * E - r**3, np.float64(0.0), np.float64(1.0), xtol=1e-300, rtol=rtol)
     assert type(root) is float and root == scipy_brentq(lambda r: E * E - r**3, 0.0, 1.0, xtol=1e-300, rtol=rtol)
     spec = BlackHoleSpec(d=4, mu=100.0)
-    assert type(interior_volume(spec, np.float64(0.5) * critical_energy(spec)).r_turn) is float
+    p = interior_volume(spec, np.float64(0.5) * critical_energy(spec))
+    assert type(p.r_turn) is float and type(p.E) is float
+    assert p == interior_volume(spec, 0.5 * critical_energy(spec))
 
 
 @pytest.mark.parametrize(
@@ -395,39 +434,59 @@ def test_brentq_gives_up_after_scipys_100_iterations(monkeypatch):
         BlackHoleSpec(d=4, mu=1e100).r_h
 
 
-def test_outer_anchor_time_in_log_coordinates_matches_the_integral_in_r(monkeypatch):
-    # reference: the outer anchor time integrated in r over [r_h + delta, r_cut],
-    # as before the substitution v = ln(r - r_h); the other integrals are unchanged
-    slices = _benchmark_slices()
-    ours = [interior_volume(spec, E) for spec, E in slices]
-    current = {}
+def _four_integral_slice(spec, E, r_turn, tol=1e-10):
+    """(volume, boundary_time_sum) integrated as interior_volume did before
+    the stretched coordinate: the volume in u = sqrt(r - r_turn); the anchor
+    time in u up to a window about r_h, across the window with the pole
+    subtracted (it integrates to zero there), and beyond it in v = ln(r - r_h)."""
+    d, mu, l = spec.d, spec.mu, spec.l_ads
+    r_h, two_dm2 = spec.r_h, 2 * (d - 2)
+    r_cut = 1e3 * max(r_h, l)
+    coeffs = _turning_factor(spec, r_turn)
 
-    def outer_in_r(r):
-        spec, p = current["spec"], current["point"]
-        x = r - p.r_turn
-        g = 0.0
-        for c in current["coeffs"]:
-            g = g * x + c
-        f = 1.0 - spec.mu / r ** (spec.d - 3) + (r / spec.l_ads) ** 2
-        return p.E / (f * math.sqrt(x * g))
+    def g(x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
 
-    def quad_in_r(fn, a, b, **kwargs):
-        spec, p = current["spec"], current["point"]
-        r_h = spec.r_h
-        r_cut = 1e3 * max(r_h, spec.l_ads)
-        if b != math.log(r_cut - r_h):
-            return quad(fn, a, b, **kwargs)
-        current["outer"] += 1
-        delta = 0.5 * min(r_h - p.r_turn, r_cut - r_h)
-        return quad(outer_in_r, r_h + delta, r_cut, **kwargs)
+    def f(r):
+        return 1.0 - mu / r ** (d - 3) + (r / l) ** 2
 
-    monkeypatch.setattr(holography, "quad", quad_in_r)
-    for (spec, E), p in zip(slices, ours):
-        current.update(spec=spec, point=p, coeffs=_turning_factor(spec, p.r_turn), outer=0)
-        ref = interior_volume(spec, E)
-        assert current["outer"] == 1
-        assert p.interior_volume_per_sphere == ref.interior_volume_per_sphere
-        assert p.boundary_time_sum == pytest.approx(ref.boundary_time_sum, rel=1e-12)
+    def dt(r):
+        x = r - r_turn
+        return E / (f(r) * math.sqrt(x * g(x)))
+
+    fp_h = (d - 3) * mu / r_h ** (d - 2) + 2 * r_h / l**2
+    fpp_h = -(d - 2) * (d - 3) * mu / r_h ** (d - 1) + 2 / l**2
+    pole_limit = -(fpp_h / (2 * fp_h**2) + r_h**two_dm2 / (2 * E * E))
+
+    def subtracted(r):
+        if abs(r - r_h) < 1e-9 * r_h:
+            return pole_limit
+        return dt(r) - 1.0 / (fp_h * (r - r_h))
+
+    def checked(fn, a, b, points=None):
+        value, abserr, _, *failure = quad(fn, a, b, points=points, epsabs=tol, epsrel=tol, limit=500, full_output=1)
+        assert not failure and abserr <= max(tol, tol * abs(value))
+        return value
+
+    delta = 0.5 * min(r_h - r_turn, r_cut - r_h)
+    volume = checked(lambda u: 4.0 * (r_turn + u * u) ** two_dm2 / math.sqrt(g(u * u)), 0.0, math.sqrt(r_h - r_turn))
+    inner = checked(lambda u: 2.0 * E / (f(r_turn + u * u) * math.sqrt(g(u * u))), 0.0, math.sqrt(r_h - delta - r_turn))
+    window = checked(subtracted, r_h - delta, r_h + delta, points=[r_h])
+    outer = checked(lambda v: math.exp(v) * dt(r_h + math.exp(v)), math.log(delta), math.log(r_cut - r_h))
+    return volume, -2.0 * (inner + window + outer)
+
+
+def test_interior_volume_matches_the_four_integral_slice():
+    # reference: the same slice in four quadratures, in u, r and v, with the
+    # horizon pole integrated to zero over a window instead of in closed form
+    for spec, E in _benchmark_slices():
+        p = interior_volume(spec, E)
+        volume, t_sum = _four_integral_slice(spec, float(E), p.r_turn)
+        assert p.interior_volume_per_sphere == pytest.approx(volume, rel=2e-15)
+        assert p.boundary_time_sum == pytest.approx(t_sum, rel=1e-11)
 
 
 def test_interior_volume_raises_on_failed_quadrature():
@@ -489,7 +548,8 @@ def _mpmath_slice(d, mu, E, dps=40):
         return float(volume), float(-2 * (inner + pole + outer))
 
 
-@pytest.mark.parametrize("d, mu, eta", [(4, 100.0, 1e-7), (6, 1.0, 1e-7)])
+@pytest.mark.parametrize("eta", [1e-1, 1e-4, 1e-7])
+@pytest.mark.parametrize("d, mu", [(4, 100.0), (5, 10.0), (6, 1.0)])
 def test_near_critical_slice_against_mpmath(d, mu, eta):
     spec = BlackHoleSpec(d=d, mu=mu)
     E = critical_energy(spec) * (1 - eta)
