@@ -13,9 +13,10 @@ complexity growth.
 Units default to G = l_ads = hbar = 1 and every quantity is configurable
 through BlackHoleSpec.
 
-The root finds use ``brentq``, a port of scipy's Brent solver; the only
-scipy call is ``quad``, so a spec, its horizon and critical radius and
-every rate that needs no slice load no scipy.
+The root finds use ``brentq``, a port of scipy's Brent solver, and
+``quad`` calls scipy's compiled QUADPACK extension, loaded by itself on
+first use; so a spec, its horizon and critical radius and every rate that
+needs no slice load no scipy, and a slice loads that one extension.
 """
 
 from __future__ import annotations
@@ -37,13 +38,85 @@ DEFAULT_RCUT_FACTOR = 1e3
 _POLE_BAND = 1e-9  # relative half-width of the band about r_h where the pole subtraction cancels to noise
 
 
+_QUADPACK = "scipy.integrate._quadpack"
+# scipy's quad messages for each QUADPACK error code ier, each on one line
+_QUADPACK_MESSAGES = {
+    1: "The maximum number of subdivisions ({limit}) has been achieved. If increasing the limit yields no "
+    "improvement it is advised to analyze the integrand in order to determine the difficulties. If the position "
+    "of a local difficulty can be determined (singularity, discontinuity) one will probably gain from splitting "
+    "up the interval and calling the integrator on the subranges. Perhaps a special-purpose integrator should be "
+    "used.",
+    2: "The occurrence of roundoff error is detected, which prevents the requested tolerance from being achieved. "
+    "The error may be underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the integration interval.",
+    4: "The algorithm does not converge. Roundoff error is detected in the extrapolation table. It is assumed that "
+    "the requested tolerance cannot be achieved, and that the returned result (if full_output = 1) is the best "
+    "which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+    6: "The input is invalid.",
+    7: "Abnormal termination of the routine. The estimates for result and error are less reliable. It is assumed "
+    "that the requested accuracy has not been achieved.",
+}
+
+
+def _quadpack():
+    """scipy's compiled QUADPACK extension, scipy.integrate._quadpack.
+
+    Importing the scipy.integrate package would load some 345 scipy
+    modules (sparse, linalg, optimize, special, ...) that no slice uses, so
+    on first call the extension is loaded by itself from scipy's install
+    directory and registered under its own name: a later import of
+    scipy.integrate reuses it, and one imported before is taken as it is.
+    """
+    module = sys.modules.get(_QUADPACK)
+    if module is not None:
+        return module
+    import importlib.util
+    import os
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("quadrature needs scipy, which is not installed")
+    for directory in scipy_spec.submodule_search_locations:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "integrate", "_quadpack" + suffix)
+            if os.path.exists(path):
+                spec = importlib.util.spec_from_file_location(_QUADPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                if hasattr(module, "_qagse") and hasattr(module, "_qagpe"):
+                    sys.modules[_QUADPACK] = module
+                    return module
+    import scipy
+
+    raise ImportError(f"scipy {scipy.__version__} has no compiled QUADPACK {_QUADPACK} with _qagse and _qagpe")
+
+
 # Every call site goes through these two module names, so a caller that
 # patches holography.quad or holography.brentq sees every call.
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first call: importing this module loads no scipy."""
-    from scipy.integrate import quad
+def quad(fn, a: float, b: float, points=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
+    """scipy.integrate.quad over a finite [a, b], calling scipy's compiled
+    QUADPACK directly (_quadpack): QAGSE, or QAGPE with breakpoints.
 
-    return quad(*args, **kwargs)
+    As in scipy, the breakpoints are taken once each and only strictly
+    inside (a, b), and the same arguments give the same value, error
+    estimate and evaluations.  Returns (value, abserr), then the info dict
+    if full_output; a QUADPACK error code ier other than 0 appends scipy's
+    message for it, where scipy's quad would only warn without full_output.
+    """
+    quadpack = _quadpack()
+    if points is None:
+        *result, ier = quadpack._qagse(fn, a, b, (), full_output, epsabs, epsrel, limit)
+    else:
+        inner = np.unique(points)
+        inner = inner[(a < inner) & (inner < b)]
+        # QAGPE takes two more slots than breakpoints, as in scipy's quad
+        breaks = np.concatenate((inner, (0.0, 0.0)))
+        *result, ier = quadpack._qagpe(fn, a, b, breaks, (), full_output, epsabs, epsrel, limit)
+    if ier != 0:
+        result.append(_QUADPACK_MESSAGES.get(ier, "Unknown error.").format(limit=limit))
+    return tuple(result)
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -147,13 +220,14 @@ class BlackHoleSpec:
     @cached_property
     def r_h(self) -> float:
         """Horizon radius: the unique positive root of the blackening factor
-        (f is strictly increasing)."""
+        (f is strictly increasing), found by brentq in a one-octave bracket
+        [lo, 2 lo], so the root find needs few steps whatever mu."""
         hi = max(self.l_ads, self.mu ** (1.0 / (self.d - 3)), 1.0)
         while blackening(self, hi) <= 0:
             hi *= 2
         lo = hi
-        while blackening(self, lo) >= 0:
-            lo /= 2
+        while blackening(self, lo) >= 0:  # ends with f(lo) < 0 <= f(hi), hi = 2 lo
+            hi, lo = lo, lo / 2
         return brentq(lambda r: blackening(self, r), lo, hi, xtol=1e-300, rtol=_BRENTQ_RTOL)
 
     @cached_property

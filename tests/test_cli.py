@@ -64,6 +64,20 @@ def test_wdw_higher_dimension(tmp_path):
     assert float(row[6]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_wdw_at_mu_10_finds_the_exact_horizon(tmp_path):
+    # f(r) = 1 - 10/r + r^2 vanishes at r_h = 2: the rate is 2M = 10 and saturates the bound to the bit
+    assert main(["wdw", "--mu", "10", "--outdir", str(tmp_path)]) == 0
+    assert read(tmp_path / "wdw.csv").decode().splitlines()[1] == "4,10,5,-4,14,10,1"
+
+
+@pytest.mark.parametrize("args", [["--mu", "1e100"], ["--dim", "5", "--mu", "1e200"], ["--mu", "1e-50"], ["--mu", "1e-70"]])
+def test_wdw_far_from_mu_1(args, tmp_path):
+    # the horizon bracket spans one octave, so its root find converges whatever mu
+    assert main(["wdw", *args, "--outdir", str(tmp_path)]) == 0
+    row = read(tmp_path / "wdw.csv").decode().splitlines()[1].split(",")
+    assert float(row[6]) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_scramble_csv_contract_and_determinism(tmp_path):
     args = ["scramble", "--qubits", "6", "--trials", "500", "--max-steps", "6"]
     out1 = tmp_path / "a"
@@ -321,11 +335,35 @@ def test_a_black_hole_and_its_rates_load_no_scipy(tmp_path):
     assert _fresh_python(code, tmp_path) == "[]\n"
 
 
+# scipy packages that a slice's quadrature never uses
+UNUSED_SCIPY = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special")
+
+
+@pytest.mark.parametrize("first", ["", "import scipy.integrate; "], ids=["alone", "after-scipy-integrate"])
+def test_wormhole_loads_only_scipys_quadpack_extension(first, tmp_path):
+    # holography.quad loads scipy.integrate._quadpack by itself, and a later
+    # (or earlier) import of scipy.integrate shares that one module object
+    code = (
+        f"{first}import sys; from complexitylab import holography; from complexitylab.cli import main; "
+        f"assert main(['wormhole', '--egrid-points', '2', '--outdir', {str(tmp_path)!r}]) == 0; "
+        f"print(sorted(m for m in {UNUSED_SCIPY!r} + ('scipy.integrate._quadpack',) if m in sys.modules)); "
+        "from scipy.integrate import _quadpack_py, quad; "
+        "print(_quadpack_py._quadpack is sys.modules['scipy.integrate._quadpack'] is holography._quadpack(), "
+        "quad(lambda x: x * x, 0.0, 3.0)[0])"
+    )
+    loaded, shared = _fresh_python(code, tmp_path).splitlines()[-2:]
+    if first:
+        assert "'scipy.integrate'" in loaded
+    else:
+        assert loaded == "['scipy.integrate._quadpack']"
+    assert shared == "True 9.000000000000002"
+
+
 def test_paper_suite_loads_scipy_before_its_first_check(tmp_path):
     # the import is timed as its own summary entry, not charged to the first check
     code = (
         "import sys; from complexitylab import acceptance, cli; "
-        "acceptance.CHECKS = [('probe', lambda: str('scipy.integrate' in sys.modules))]; "
+        "acceptance.CHECKS = [('probe', lambda: str('scipy.integrate._quadpack' in sys.modules))]; "
         f"assert cli.main(['paper-suite', '--outdir', {str(tmp_path)!r}]) == 0"
     )
     _fresh_python(code, tmp_path)
@@ -468,8 +506,8 @@ def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
             ["wormhole", "--eta-max", "0.999999999999", "--eta-min", "0.9999999999", "--egrid-points", "2"],
             "E = 4.81833e-11 is too small: its turning point rounds onto the horizon",
         ),
-        # the horizon bracket reaches mu^(1/(d-3)), 66 decades above r_h: more than 100 Brent steps
-        (["wdw", "--mu", "1e100"], "root find did not converge in 100 iterations on the bracket [1.48368e+33, 1e+100]\n"),
+        # the critical-radius bracket [1e-12 r_h, r_h] at r_h ~ 1e-90: more than 100 Brent steps
+        (["wdw", "--dim", "6", "--mu", "1e-270"], "root find did not converge in 100 iterations on the bracket [1e-102, 1e-90]\n"),
         # r_m^(2(d-2)) in the critical energy overflows a float
         (["wormhole", "--dim", "7", "--mu", "1e200"], "(34, 'Numerical result out of range')\n"),
     ],

@@ -1,5 +1,8 @@
 import itertools
 import math
+import re
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -345,6 +348,83 @@ def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
         assert root_finds[first + 1 : first + 34] == [1] * 33
 
 
+def _slice_integrals(spec, E):
+    """(fn, a, b, points) of each quadrature of the slice at E, as holography.quad receives them."""
+    real_quad, integrals = holography.quad, []
+
+    def recorded(fn, a, b, points=None, **kwargs):
+        integrals.append((fn, a, b, points))
+        return real_quad(fn, a, b, points=points, **kwargs)
+
+    holography.quad = recorded
+    try:
+        interior_volume(spec, E)
+    finally:
+        holography.quad = real_quad
+    return integrals
+
+
+def test_quad_matches_scipys_quad_bit_for_bit():
+    # the two quadratures of every 11th benchmark slice, through holography.quad
+    # and the public scipy.integrate.quad, with the slice's breakpoints, with
+    # them doubled and joined by the ends and points outside [a, b], and with
+    # a breakpoint given to the volume integral
+    compared = 0
+    for spec, E in _benchmark_slices()[::11]:
+        for fn, a, b, points in _slice_integrals(spec, E):
+            extra = [*(points or []), *(points or []), a, b, a - 1.0, b + 2.0]
+            for pts in (points, extra, [0.5 * (a + b), 0.5 * (a + b)]):
+                kwargs = dict(points=pts, epsabs=1e-10, epsrel=1e-10, limit=500, full_output=1)
+                ours, theirs = holography.quad(fn, a, b, **kwargs), quad(fn, a, b, **kwargs)
+                assert len(ours) == len(theirs) == 3
+                assert (ours[0].hex(), ours[1].hex()) == (theirs[0].hex(), theirs[1].hex())
+                assert ours[2]["neval"] == theirs[2]["neval"] and ours[2]["last"] == theirs[2]["last"]
+                compared += 1
+    assert compared == 10 * 2 * 3
+
+
+@pytest.mark.parametrize("ier", [1, 2, 3, 4, 5, 7])
+def test_quad_appends_scipys_message_for_each_error_code(ier, monkeypatch):
+    # both wrappers around a QUADPACK that reports ier: scipy's quad returns
+    # its message for that code, which holography.quad must append as well
+    from scipy.integrate import _quadpack_py
+
+    reporting = types.SimpleNamespace(_qagse=lambda *args: (0.5, 1.0, {}, ier), _qagpe=lambda *args: (0.5, 1.0, {}, ier))
+    monkeypatch.setattr(_quadpack_py, "_quadpack", reporting)
+    monkeypatch.setattr(holography, "_quadpack", lambda: reporting)
+    for points in (None, [0.5]):
+        kwargs = dict(points=points, epsabs=1e-10, epsrel=1e-10, limit=7, full_output=1)
+        *ours, message = holography.quad(math.sin, 0.0, 1.0, **kwargs)
+        *theirs, scipy_message = quad(math.sin, 0.0, 1.0, **kwargs)
+        assert ours == theirs == [0.5, 1.0, {}]
+        assert message == " ".join(scipy_message.split())
+
+
+def test_a_missing_quadpack_extension_raises_import_error_naming_scipys_version(monkeypatch):
+    import importlib.machinery
+
+    import scipy
+
+    monkeypatch.delitem(sys.modules, holography._QUADPACK)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    with pytest.raises(ImportError, match=rf"^scipy {re.escape(scipy.__version__)} has no compiled QUADPACK"):
+        holography.quad(math.sin, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-300])
+def test_integrate_raises_scipys_reason_for_a_quadpack_failure(tol, monkeypatch):
+    # on the integrands of a benchmark slice, too few subintervals (the fewest
+    # QUADPACK takes) or a tolerance below roundoff: _integrate names the
+    # reason scipy's quad gives
+    integrals, real_quad = _slice_integrals(*_benchmark_slices()[0]), holography.quad
+    for fn, a, b, points in integrals:
+        limit = (1 if points is None else len(points) + 2) if tol == 1e-10 else 500
+        monkeypatch.setattr(holography, "quad", lambda *args, **kwargs: real_quad(*args, **{**kwargs, "limit": limit}))
+        *_, reason = quad(fn, a, b, points=points, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
+        with pytest.raises(ValueError, match=re.escape(f"({' '.join(reason.split())})")):
+            holography._integrate("slice", fn, a, b, tol, points=points)
+
+
 def _spec_grid_slices(d, masses=(0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)):
     """(spec, E) at 40 energies from 1e-3 E_c to within 1e-9 of E_c, for each
     mass parameter in d bulk dimensions; fresh specs, as above."""
@@ -425,13 +505,34 @@ def test_brentq_rejects_a_bad_bracket_or_a_nan_like_scipy(f, message):
         scipy_brentq(f, 0.0, 1.0, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
 
 
-def test_brentq_gives_up_after_scipys_100_iterations(monkeypatch):
-    # the horizon bracket of mu = 1e100 spans 67 decades, too many for 100 steps
+def test_brentq_gives_up_after_scipys_100_iterations():
+    # f at mu = 1e100 on a bracket of 67 decades, from the first halving of
+    # mu below r_h up to mu itself: too many for 100 steps
+    spec = BlackHoleSpec(d=4, mu=1e100)
+    lo = 1e100
+    while blackening(spec, lo) >= 0:
+        lo /= 2
     with pytest.raises(ValueError, match=r"did not converge in 100 iterations on the bracket \[1\.48368e\+33, 1e\+100\]"):
-        BlackHoleSpec(d=4, mu=1e100).r_h
-    monkeypatch.setattr(holography, "brentq", scipy_brentq)
+        holography.brentq(lambda r: blackening(spec, r), lo, 1e100, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
     with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
-        BlackHoleSpec(d=4, mu=1e100).r_h
+        scipy_brentq(lambda r: blackening(spec, r), lo, 1e100, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
+
+
+@pytest.mark.parametrize("d, mu", [(4, 1e100), (5, 1e200), (4, 1e-50), (4, 1e-70), (4, 100.0), (5, 10.0), (6, 1.0)])
+def test_horizon_bracket_is_one_octave(d, mu, monkeypatch):
+    # far from mu ~ 1 the root find converges within its 100 steps, on [lo, 2 lo]
+    port, brackets = holography.brentq, []
+
+    def recorded(f, a, b, **kwargs):
+        brackets.append((a, b))
+        return port(f, a, b, **kwargs)
+
+    monkeypatch.setattr(holography, "brentq", recorded)
+    spec = BlackHoleSpec(d=d, mu=mu)
+    r_h = spec.r_h
+    [(lo, hi)] = brackets
+    assert hi == 2 * lo and lo < r_h <= hi
+    assert blackening(spec, lo) < 0 <= blackening(spec, hi)
 
 
 def _four_integral_slice(spec, E, r_turn, tol=1e-10):
