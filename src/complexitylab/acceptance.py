@@ -63,8 +63,8 @@ def check_wormhole_linear_growth() -> str:
 def check_high_temperature_cv() -> str:
     """High-temperature critical surface and the constancy of dC/dt : ST."""
     spec = holography.BlackHoleSpec(d=4, mu=1e4)
-    r_m, v_d = holography.critical_surface(spec)
-    e_c = v_d / spec.omega
+    _, v_d = holography.critical_surface(spec)
+    e_c = spec.e_c
     dev_ec = abs(e_c - spec.mu / 2) / (spec.mu / 2)
     assert dev_ec < 0.01, f"E_c misses mu/2 by {dev_ec:.2%}"
     v_pred = 8 * math.pi * spec.G * spec.l_ads * spec.mass / (spec.d - 2)

@@ -169,7 +169,12 @@ def cmd_curvature(opts) -> Result:
 
 def cmd_counting(opts) -> Result:
     report = counting.counting_report(opts.qubits, opts.epsilon)
-    summary = {"qubits": report.K, "epsilon": report.epsilon, "c_max": report.c_max}
+    summary = {
+        "qubits": report.K,
+        "epsilon": report.epsilon,
+        "c_max": report.c_max,
+        "entropy_at_c_max": counting.complexity_entropy(report.c_max, report.K),
+    }
     return [f.name for f in dataclasses.fields(report)], [dataclasses.astuple(report)], summary
 
 
@@ -206,6 +211,7 @@ def cmd_tfd(opts) -> Result:
         "levels": len(spectrum),
         "sign": opts.sign,
         "fidelity": fidelity,
+        "fubini_distance": tfd.fubini_distance(psi, state.vector()),
         "entropy_left": s_l,
     }
 
@@ -393,7 +399,8 @@ COMMANDS = {
         cmd_counting, "log-space counting report",
         "Group volume, eps-ball volume, unitary count (2^K/eps^2)^(4^K/2), "
         "pairing branching factor, maximum complexity 4^K(1/2+|ln eps|/ln K) and "
-        "recurrence magnitudes, all as natural logs.",
+        "recurrence magnitudes, all as natural logs; the summary adds the complexity "
+        "entropy C_max ln K.",
         (
             Option("--qubits", even_count_to_20, 4, "even qubit count 2 <= K <= 20"),
             Option("--epsilon", unit_interval, 0.01, "resolution in (0,1]"),
@@ -403,7 +410,8 @@ COMMANDS = {
         cmd_tfd, "thermofield double: evolution, entropies, correlators",
         "Builds sum_i e^(-beta E_i/2)/sqrt(Z) |i>|i>, applies the phases "
         "e^(-i E_i (tl -+ tr)), and reports fidelity, reduced entropies and "
-        "two-sided correlators; the difference Hamiltonian leaves the state "
+        "two-sided correlators, and in the summary the Fubini distance to the "
+        "initial state; the difference Hamiltonian leaves the state "
         "invariant at tl = tr, the sum does not.",
         (
             Option("--beta", nonnegative_or_inf, 1.0, "inverse temperature >= 0"),

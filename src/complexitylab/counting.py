@@ -5,9 +5,7 @@ per-step branching factor, maximum complexity, the complexity-entropy
 relation, Hamiltonian parameter counts and recurrence-time magnitudes.
 
 Everything is computed as a natural logarithm so nothing overflows up to
-K = 20.  Where the literature formula drops constants, the exact
-counterpart (log-gamma, factorials) is exposed alongside it so tests can
-measure the gap.
+K = 20.
 """
 
 from __future__ import annotations
@@ -59,13 +57,6 @@ def log_branching(K: int) -> float:
     return (K / 2) * math.log(2 * K / math.e)
 
 
-def log_branching_exact(K: int) -> float:
-    """Exact ln(K! / (K/2)!) for comparison with the Stirling form."""
-    if K % 2 or K < 2:
-        raise ValueError(f"K must be even and >= 2, got {K}")
-    return math.lgamma(K + 1) - math.lgamma(K // 2 + 1)
-
-
 def max_complexity(K: int, epsilon: float) -> float:
     """Complexity at which the ball of circuits exhausts the group:
     4^K (1/2 + |ln eps| / ln K)."""
@@ -76,19 +67,6 @@ def max_complexity(K: int, epsilon: float) -> float:
     return 4.0**K * (0.5 + abs(math.log(epsilon)) / math.log(K))
 
 
-def max_complexity_from_branching(K: int, epsilon: float) -> float:
-    """Complexity exhausting the group, solved from the branching relation
-    (2K/e)^C = (2^K / eps^2)^(4^K / 2); equals log_num_unitaries / ln(2K/e).
-
-    The closed form ``max_complexity`` simplifies this bracket further and
-    lands within an O(1) factor of it at desk scale; both are exposed so
-    the gap can be measured.
-    """
-    if K < 2:
-        raise ValueError(f"need K >= 2, got {K}")
-    return log_num_unitaries(K, epsilon) / math.log(2 * K / math.e)
-
-
 def complexity_entropy(C: float, K: int) -> float:
     """Dropped-constant entropy C ln K of the operator count at complexity C."""
     if C < 0:
@@ -96,15 +74,6 @@ def complexity_entropy(C: float, K: int) -> float:
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     return C * math.log(K)
-
-
-def complexity_entropy_exact(C: float, K: int) -> float:
-    """Entropy C ln(2K/e), the exact log of the (2K/e)^C operator count."""
-    if C < 0:
-        raise ValueError(f"need C >= 0, got {C}")
-    if K < 2:
-        raise ValueError(f"need K >= 2, got {K}")
-    return C * math.log(2 * K / math.e)
 
 
 def parameter_count(K: int, k: int) -> int:

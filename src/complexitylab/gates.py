@@ -270,21 +270,6 @@ def bfs_complexity(
     return _grow(gs, max_depth, None, tkey).index.get(tkey)
 
 
-def relative_complexity(
-    U: np.ndarray,
-    V: np.ndarray,
-    gs: GateSet,
-    max_depth: int,
-    ball: ComplexityBall | None = None,
-) -> int | None:
-    """Word-length distance between two unitaries, the complexity of U V^dag."""
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    if U.shape != V.shape:
-        raise ValueError(f"shape mismatch: {U.shape} vs {V.shape}")
-    return bfs_complexity(U @ V.conj().T, gs, max_depth, ball)
-
-
 # --- stock gate sets -------------------------------------------------------
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -3,11 +3,10 @@
 The metric is diagonal in the Pauli-string basis with a weight-dependent
 penalty I(w): free (I = 1) for weight w <= k, and c 4^(w-k) above, which
 punishes motion along highly non-local directions.  On top of it sit the
-velocity <-> coupling correspondence, the action of a path, the geodesic
-identity for Hamiltonian evolution, the truncated commutator expansion of
-the Loschmidt operator connecting neighbouring geodesics, and the
-sectional curvature of 2-planes spanned by 2-local Hamiltonians together
-with its Gaussian-ensemble statistics.
+geodesic identity for Hamiltonian evolution, the truncated commutator
+expansion of the Loschmidt operator connecting neighbouring geodesics,
+and the Gaussian-ensemble statistics of the sectional curvature of
+2-planes spanned by 2-local Hamiltonians.
 
 Traces are normalized (Tr 1 = 1) throughout, making every ratio
 dimension-free.
@@ -17,28 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .paulis import (
     CommutatorTable,
     KLocalHamiltonian,
-    PauliString,
     enumerate_strings,
     evolve,
     gaussian_couplings,
-    is_unitary,
     normalized_trace_product,
-    pauli_matrix,
 )
 
-DEFAULT_STENCIL_H = 1e-4
 ORTHOGONALITY_TOL = 1e-10
-
-# A tangent vector at the identity is a finite map from Pauli strings to
-# real components in the sigma_I basis.
-TangentVector = Mapping[PauliString, float]
 
 
 @dataclass(frozen=True)
@@ -62,71 +53,6 @@ def penalty(weight: int, schedule: PenaltySchedule) -> float:
     if weight <= schedule.k:
         return 1.0
     return schedule.c * 4.0 ** (weight - schedule.k)
-
-
-def metric_norm_sq(v: TangentVector, schedule: PenaltySchedule) -> float:
-    """sum_I I(w_I) v_I^2."""
-    return float(sum(penalty(p.weight, schedule) * x * x for p, x in v.items()))
-
-
-def velocity_components(
-    path: Callable[[float], np.ndarray],
-    t: float,
-    h: float = DEFAULT_STENCIL_H,
-    basis: Sequence[PauliString] | None = None,
-) -> dict[PauliString, float]:
-    """Coupling components J_I = i Tr(sigma_I dU/dt U^dag) along a path.
-
-    The derivative uses a central stencil of width ``h``; for
-    U(t) = exp(-iHt) the components reproduce the couplings of H, and at
-    t = 0 they are the projections of the initial velocity onto the Pauli
-    axes.  The trace products are real up to the stencil truncation; only
-    the real parts are returned.
-    """
-    if h <= 0:
-        raise ValueError("stencil width must be positive")
-    U0 = np.asarray(path(t), dtype=complex)
-    Up = np.asarray(path(t + h), dtype=complex)
-    Um = np.asarray(path(t - h), dtype=complex)
-    for U in (U0, Up, Um):
-        if not is_unitary(U, tol=1e-8):
-            raise ValueError("path sample is not unitary")
-    K = int(round(math.log2(U0.shape[0])))
-    dU = (Up - Um) / (2 * h)
-    M = 1j * (dU @ U0.conj().T)
-    if basis is None:
-        basis = enumerate_strings(K, K)
-    return {p: normalized_trace_product(pauli_matrix(p), M).real for p in basis}
-
-
-def _trapezoid(
-    samples: Sequence[tuple[float, TangentVector]], integrand: Callable[[TangentVector], float]
-) -> float:
-    """Trapezoid quadrature of ``integrand(v)`` over strictly increasing sample times."""
-    if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
-    ts = np.array([t for t, _ in samples])
-    if not np.all(np.diff(ts) > 0):
-        raise ValueError("sample times must be strictly increasing")
-    return float(np.trapezoid(np.array([integrand(v) for _, v in samples]), ts))
-
-
-def path_action(
-    samples: Sequence[tuple[float, TangentVector]], schedule: PenaltySchedule
-) -> float:
-    """Trapezoid quadrature of (1/2) |v|^2 over the sampled path."""
-    return _trapezoid(samples, lambda v: 0.5 * metric_norm_sq(v, schedule))
-
-
-def path_length(
-    samples: Sequence[tuple[float, TangentVector]], schedule: PenaltySchedule
-) -> float:
-    """Trapezoid quadrature of |v| over the sampled path.
-
-    For constant-speed paths the action is E_a t with E_a = |v|^2 / 2 and
-    the length is sqrt(2 E_a) t, so action = sqrt(E_a / 2) * length.
-    """
-    return _trapezoid(samples, lambda v: math.sqrt(metric_norm_sq(v, schedule)))
 
 
 def geodesic_residual_path(
@@ -175,37 +101,6 @@ def loschmidt(H: np.ndarray, Delta: np.ndarray, t: float, dtheta: float) -> np.n
     return -(1j * Delta * t - (t * t / 2) * c1 - (1j * t**3 / 6) * c2) * dtheta
 
 
-def _check_two_local(ham: KLocalHamiltonian, name: str) -> None:
-    if any(p.weight != 2 for p in ham.terms):
-        raise ValueError(f"{name} must be exactly 2-local")
-
-
-def sectional_curvature(
-    H: KLocalHamiltonian, Delta: KLocalHamiltonian, schedule: PenaltySchedule
-) -> float:
-    """Curvature of the 2-plane spanned by two orthogonal 2-local flows.
-
-    R = (1/3 - I(3)/4) * 2 Tr([H, Delta][Delta, H]) / (Tr Delta^2 Tr H^2)
-    with normalized traces.  The numerator trace equals the squared
-    Frobenius norm of the commutator, so R is zero iff the flows commute,
-    and the sign of R is the sign of (1/3 - I(3)/4).  The numerator is
-    computed exactly in Pauli space, from the anticommuting term pairs
-    (see ``CommutatorTable``), without forming any 2^K matrix.
-    """
-    _check_two_local(H, "H")
-    _check_two_local(Delta, "Delta")
-    hh = H.coupling_norm_sq()
-    dd = Delta.coupling_norm_sq()
-    if hh == 0 or dd == 0:
-        raise ValueError("zero-norm input")
-    overlap = sum(j * Delta.terms.get(p, 0.0) for p, j in H.terms.items())
-    if abs(overlap) > ORTHOGONALITY_TOL * max(1.0, math.sqrt(hh * dd)):
-        raise ValueError(f"Delta is not trace-orthogonal to H: Tr(H Delta) = {overlap}")
-    table = CommutatorTable(list(H.terms), list(Delta.terms))
-    prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
-    return prefactor * _trace_ratio(table, H.couplings(), Delta.couplings())
-
-
 def _trace_ratio(table: CommutatorTable, h: np.ndarray, d: np.ndarray) -> float:
     """2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) for couplings h and d over the
     table's terms.  The norms are sequential sums in term order, bit for
@@ -226,7 +121,7 @@ def sample_orthogonal_pair(K: int, seed: int, draw: int = 0) -> tuple[KLocalHami
     """Two exactly 2-local Gaussian Hamiltonians with Tr(H Delta) = 0."""
     strings = enumerate_strings(K, 2, exactly_local=True)
     h, d = _orthogonal_couplings(K, len(strings), seed, draw)
-    return tuple(KLocalHamiltonian(K, 2, dict(zip(strings, j.tolist())), K / len(strings)) for j in (h, d))
+    return tuple(KLocalHamiltonian(K, 2, dict(zip(strings, j.tolist()))) for j in (h, d))
 
 
 @dataclass(frozen=True)
@@ -245,6 +140,12 @@ def curvature_ensemble(
     K: int, schedule: PenaltySchedule, trials: int, seed: int
 ) -> CurvatureEnsemble:
     """Average R and 2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) over Gaussian pairs.
+
+    R = (1/3 - I(3)/4) times the trace ratio is the sectional curvature of
+    the 2-plane spanned by the two flows.  The numerator trace is the
+    squared Frobenius norm of the commutator, computed exactly in Pauli
+    space from the anticommuting term pairs, so the sign of R is the sign
+    of (1/3 - I(3)/4).
 
     The pairs are those of ``sample_orthogonal_pair``, drawn as coupling
     vectors in the term order of ``enumerate_strings``, so one

@@ -27,13 +27,6 @@ import numpy as np
 
 MAX_QUBITS = 10
 
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 
@@ -83,19 +76,6 @@ class PauliString:
         return self.letters
 
 
-def _as_string(p) -> PauliString:
-    return p if isinstance(p, PauliString) else PauliString(str(p))
-
-
-def pauli_matrix(p) -> np.ndarray:
-    """Dense matrix of a Pauli string (Kronecker product of 2x2 factors)."""
-    p = _as_string(p)
-    m = np.array([[1.0 + 0j]])
-    for ch in p.letters:
-        m = np.kron(m, PAULI_1Q[ch])
-    return m
-
-
 def enumerate_strings(K: int, k: int, exactly_local: bool = False) -> list[PauliString]:
     """All nontrivial Pauli strings on K qubits with weight <= k.
 
@@ -124,32 +104,13 @@ def _strings(K: int, k: int, exactly_local: bool) -> tuple[PauliString, ...]:
     return tuple(out)
 
 
-def single_qubit_strings(K: int) -> list[PauliString]:
-    """The 3K weight-one generator strings."""
-    return enumerate_strings(K, 1, exactly_local=True)
-
-
-def num_admissible_strings(K: int, k: int, exactly_local: bool = False) -> int:
-    """Count of strings enumerate_strings would produce, 3^w * C(K, w) per weight."""
-    if not 1 <= k <= K:
-        raise ValueError(f"need 1 <= k <= K, got k={k}, K={K}")
-    weights = [k] if exactly_local else range(1, k + 1)
-    return sum(3**w * math.comb(K, w) for w in weights)
-
-
 @dataclass(frozen=True)
 class KLocalHamiltonian:
-    """H = sum_I J_I sigma_I with every term of weight between 1 and k.
-
-    ``ensemble_variance`` is the per-coupling Gaussian variance used to
-    draw the couplings (metadata; the couplings themselves live in
-    ``terms``).
-    """
+    """H = sum_I J_I sigma_I with every term of weight between 1 and k."""
 
     K: int
     k: int
     terms: dict[PauliString, float]
-    ensemble_variance: float = field(default=float("nan"))
 
     def __post_init__(self):
         if not 1 <= self.k <= self.K:
@@ -265,15 +226,7 @@ def sample_klocal(
     from ``gaussian_couplings``, so the mean of sum_I J_I^2 is ``target_energy_variance``."""
     strings = enumerate_strings(K, k, exactly_local)
     J = gaussian_couplings(len(strings), target_energy_variance, seed, draw)
-    return KLocalHamiltonian(K, k, dict(zip(strings, J.tolist())), target_energy_variance / len(strings))
-
-
-def normalized_trace(A: np.ndarray) -> complex:
-    """Tr(A) / dim, so the identity has trace 1."""
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return complex(np.trace(A) / A.shape[0])
+    return KLocalHamiltonian(K, k, dict(zip(strings, J.tolist())))
 
 
 def normalized_trace_product(A: np.ndarray, B: np.ndarray) -> complex:

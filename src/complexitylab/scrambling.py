@@ -43,22 +43,6 @@ class EpidemicTrajectory:
         return list(zip(self.taus.tolist(), self.mean_infected.tolist(), self.std_error.tolist()))
 
 
-def circuit_complexity_linear(K: int, depth: int) -> float:
-    """Gate count of a depth-tau brick circuit: K/2 gates per step."""
-    if K % 2:
-        raise ValueError(f"K must be even, got {K}")
-    return (K / 2) * depth
-
-
-def expected_step_increment(K: int, s) -> float:
-    """Exact one-step mean growth s(K - s)/(K - 1) of the infected count.
-
-    Each uninfected qubit is infected exactly when its random partner is
-    infected, which happens with probability s/(K - 1).
-    """
-    return s * (K - s) / (K - 1)
-
-
 def _pairing_law(K: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact law of m, the number of infected-infected pairs, for each s in rows.
 

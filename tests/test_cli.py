@@ -1,3 +1,5 @@
+import cmath
+import math
 import os
 import re
 import subprocess
@@ -14,6 +16,10 @@ from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_opt
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def read_summary(path):
+    return dict(line.split(": ", 1) for line in read(path).decode().splitlines())
 
 
 def test_no_command_shows_usage(capsys):
@@ -164,6 +170,9 @@ def test_counting_run(tmp_path):
     lines = read(tmp_path / "counting.csv").decode().splitlines()
     assert lines[0].startswith("K,epsilon,log_vol_su")
     assert len(lines) == 2
+    # C_max ln K at C_max = 4^K (1/2 + |ln eps| / ln K)
+    entropy = float(read_summary(tmp_path / "counting_summary.txt")["entropy_at_c_max"])
+    assert entropy == pytest.approx(4**4 * (math.log(4) / 2 + abs(math.log(0.01))), rel=1e-14)
 
 
 def test_bfs_run_with_target(tmp_path):
@@ -238,6 +247,18 @@ def test_tfd_run(tmp_path):
     values = dict(line.split(",") for line in csv.splitlines()[1:])
     assert float(values["fidelity"]) < 1.0
     assert float(values["entropy_left"]) == pytest.approx(float(values["entropy_thermal"]), abs=1e-10)
+
+
+@pytest.mark.parametrize("sign, tl, tr", [("plus", 0.4, 0.9), ("plus", 2.5, 0.7), ("minus", 0.3, 0.3), ("minus", 12.0, 12.0)])
+def test_tfd_reports_the_fubini_distance(sign, tl, tr, tmp_path):
+    argv = ["tfd", "--spectrum", "0,1", "--sign", sign, "--tl", str(tl), "--tr", str(tr), "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    distance = float(read_summary(tmp_path / "tfd_summary.txt")["fubini_distance"])
+    if sign == "minus":  # tl = tr: the difference Hamiltonian leaves the double invariant
+        assert distance <= 1e-15
+    else:  # weights p0, p1 of levels 0, 1 at beta 1
+        p0, p1 = 1 / (1 + math.exp(-1)), math.exp(-1) / (1 + math.exp(-1))
+        assert distance == pytest.approx(math.acos(abs(p0 + p1 * cmath.exp(-1j * (tl + tr)))), rel=1e-12)
 
 
 def test_wormhole_run(tmp_path):

@@ -9,18 +9,26 @@ from scipy.special import gammaln
 
 from complexitylab.counting import (
     complexity_entropy,
-    complexity_entropy_exact,
     counting_report,
     log_ball_volume,
     log_branching,
-    log_branching_exact,
     log_num_unitaries,
     log_vol_su,
     max_complexity,
-    max_complexity_from_branching,
     parameter_count,
     recurrence_magnitudes,
 )
+
+
+def log_branching_exact(K: int) -> float:
+    """Reference for the Stirling form ``log_branching``: ln(K! / (K/2)!)."""
+    return math.lgamma(K + 1) - math.lgamma(K // 2 + 1)
+
+
+def max_complexity_from_branching(K: int, epsilon: float) -> float:
+    """Reference for the closed form ``max_complexity``: C solved from the
+    branching relation (2K/e)^C = (2^K / eps^2)^(4^K / 2)."""
+    return log_num_unitaries(K, epsilon) / math.log(2 * K / math.e)
 
 
 def test_log_vol_su_small_cases():
@@ -118,8 +126,6 @@ def test_log_branching_values():
 def test_log_branching_rejects_odd():
     with pytest.raises(ValueError):
         log_branching(5)
-    with pytest.raises(ValueError):
-        log_branching_exact(3)
 
 
 def test_max_complexity_value():
@@ -140,14 +146,12 @@ def test_max_complexity_rejects_degenerate():
 
 def test_complexity_entropy_values():
     assert complexity_entropy(0.0, 5) == 0.0
-    assert complexity_entropy_exact(3.0, 4) == pytest.approx(3 * math.log(8 / math.e))
     assert complexity_entropy(2.0, 9) == pytest.approx(2 * math.log(9))
 
 
 @given(st.floats(min_value=0.0, max_value=1e6), st.integers(min_value=2, max_value=100))
 def test_complexity_entropy_linear(C, K):
     assert complexity_entropy(2 * C, K) == pytest.approx(2 * complexity_entropy(C, K))
-    assert complexity_entropy_exact(2 * C, K) == pytest.approx(2 * complexity_entropy_exact(C, K))
 
 
 def test_parameter_count_values():

@@ -19,7 +19,6 @@ from complexitylab.gates import (
     phase_fix,
     random_inverse_closed_gateset,
     random_word,
-    relative_complexity,
     sphere_growth,
     two_qubit_clifford_gateset,
 )
@@ -142,27 +141,6 @@ def test_bfs_refuses_a_ball_from_another_gate_set_or_epsilon(clifford_ball):
     for foreign in (sphere_growth(cnot, 10), sphere_growth(two_qubit_clifford_gateset(1e-4), 5)):
         with pytest.raises(ValueError, match="another gate set or epsilon"):
             bfs_complexity(word, clifford, 5, ball=foreign)
-
-
-def test_relative_complexity_axioms_sampled(clifford_ball):
-    gs, ball = clifford_ball
-    rng = np.random.default_rng(3)
-    mats = [m for m, _ in ball.members]
-    for _ in range(50):
-        U, V = (mats[rng.integers(len(mats))] for _ in range(2))
-        c_uv = relative_complexity(U, V, gs, 20, ball=ball)
-        c_vu = relative_complexity(V, U, gs, 20, ball=ball)
-        assert c_uv is not None and c_uv >= 0
-        assert c_uv == c_vu
-        assert relative_complexity(U, U, gs, 20, ball=ball) == 0
-        R = mats[rng.integers(len(mats))]
-        assert relative_complexity(U @ R, V @ R, gs, 20, ball=ball) == c_uv
-
-
-def test_relative_complexity_shape_mismatch():
-    gs = cnot_pair_gateset()
-    with pytest.raises(ValueError):
-        relative_complexity(np.eye(4, dtype=complex), np.eye(2, dtype=complex), gs, 2)
 
 
 def test_sphere_growth_layers(clifford_ball):

@@ -7,32 +7,52 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from complexitylab.geometry import (
+    ORTHOGONALITY_TOL,
     PenaltySchedule,
+    _trace_ratio,
     commutator,
     curvature_ensemble,
     geodesic_residual,
     geodesic_residual_path,
     loschmidt,
-    metric_norm_sq,
-    path_action,
-    path_length,
     penalty,
     sample_orthogonal_pair,
-    sectional_curvature,
-    velocity_components,
 )
 from complexitylab.paulis import (
     CommutatorTable,
     KLocalHamiltonian,
     PauliString,
     enumerate_strings,
-    evolve,
     normalized_trace_product,
-    pauli_matrix,
     sample_klocal,
 )
 
+from kronecker import kron_sum
+
 K2_SCHEDULE = PenaltySchedule(k=2, c=1.0)
+
+
+def _check_two_local(ham: KLocalHamiltonian, name: str) -> None:
+    if any(p.weight != 2 for p in ham.terms):
+        raise ValueError(f"{name} must be exactly 2-local")
+
+
+def sectional_curvature(H: KLocalHamiltonian, Delta: KLocalHamiltonian, schedule: PenaltySchedule) -> float:
+    """Reference curvature of the 2-plane of one Hamiltonian pair, for
+    ``curvature_ensemble``: R = (1/3 - I(3)/4) * 2 Tr([H, Delta][Delta, H])
+    / (Tr Delta^2 Tr H^2), over a commutator table of the pair's own terms."""
+    _check_two_local(H, "H")
+    _check_two_local(Delta, "Delta")
+    hh = H.coupling_norm_sq()
+    dd = Delta.coupling_norm_sq()
+    if hh == 0 or dd == 0:
+        raise ValueError("zero-norm input")
+    overlap = sum(j * Delta.terms.get(p, 0.0) for p, j in H.terms.items())
+    if abs(overlap) > ORTHOGONALITY_TOL * max(1.0, math.sqrt(hh * dd)):
+        raise ValueError(f"Delta is not trace-orthogonal to H: Tr(H Delta) = {overlap}")
+    table = CommutatorTable(list(H.terms), list(Delta.terms))
+    prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
+    return prefactor * _trace_ratio(table, H.couplings(), Delta.couplings())
 
 
 def test_penalty_values():
@@ -55,87 +75,6 @@ def test_penalty_rejects_zero_weight():
 def test_penalty_monotone_in_c(c1, factor):
     c2 = c1 * (1 + factor)
     assert penalty(4, PenaltySchedule(2, c2)) > penalty(4, PenaltySchedule(2, c1))
-
-
-def test_metric_norm_sq_euclidean_for_local():
-    v = {PauliString("XXII"): 0.3, PauliString("IZYI"): -1.1, PauliString("XIII"): 2.0}
-    assert metric_norm_sq(v, K2_SCHEDULE) == pytest.approx(0.3**2 + 1.1**2 + 4.0)
-
-
-def test_metric_norm_sq_penalizes_heavy_direction():
-    v = {PauliString("XYZ"): 0.5}
-    assert metric_norm_sq(v, PenaltySchedule(2, 1.0)) == pytest.approx(4 * 0.25)
-    assert metric_norm_sq(v, PenaltySchedule(2, 3.0)) == pytest.approx(12 * 0.25)
-
-
-def test_velocity_components_recover_couplings():
-    h = sample_klocal(2, 2, False, 1.0, seed=21)
-    hm = h.dense()
-    w, v = np.linalg.eigh(hm)
-    path = lambda t: (v * np.exp(-1j * w * t)) @ v.conj().T
-    comps = velocity_components(path, t=0.3, h=2e-5)
-    for p, j in h.terms.items():
-        assert comps[p] == pytest.approx(j, abs=1e-8)
-    # with unit penalties the squared norm is the Hamiltonian variance
-    flat = PenaltySchedule(k=2, c=1.0)
-    assert metric_norm_sq(comps, flat) == pytest.approx(h.coupling_norm_sq(), abs=1e-7)
-
-
-def test_velocity_components_initial_projection():
-    # at t = 0 the components are the projections of the initial velocity
-    h = sample_klocal(2, 2, True, 2.0, seed=23)
-    hm = h.dense()
-    w, v = np.linalg.eigh(hm)
-    path = lambda t: (v * np.exp(-1j * w * t)) @ v.conj().T
-    comps = velocity_components(path, t=0.0, h=2e-5)
-    for p, j in h.terms.items():
-        assert comps[p] == pytest.approx(j, abs=1e-8)
-
-
-def test_velocity_components_constant_path():
-    h = sample_klocal(2, 2, False, 1.0, seed=22)
-    U = evolve(h, 0.8)
-    comps = velocity_components(lambda t: U, t=0.0)
-    assert max(abs(x) for x in comps.values()) < 1e-10
-
-
-def test_velocity_components_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        velocity_components(lambda t: np.eye(4) * (1 + t), t=1.0)
-
-
-def test_path_action_constant_speed():
-    # constant velocity with |v|^2 = 2K gives action K * tau
-    K, tau = 4, 0.7
-    comp = math.sqrt(2 * K / 3)
-    v = {PauliString("XXII"): comp, PauliString("IYYI"): comp, PauliString("IIZZ"): comp}
-    samples = [(t, v) for t in np.linspace(0.0, tau, 9)]
-    assert path_action(samples, K2_SCHEDULE) == pytest.approx(K * tau, rel=1e-12)
-    assert path_length(samples, K2_SCHEDULE) == pytest.approx(math.sqrt(2 * K) * tau, rel=1e-12)
-    # action = sqrt(E_a / 2) * length for constant speed, E_a = |v|^2 / 2
-    e_a = 0.5 * metric_norm_sq(v, K2_SCHEDULE)
-    assert path_action(samples, K2_SCHEDULE) == pytest.approx(
-        math.sqrt(e_a / 2) * path_length(samples, K2_SCHEDULE), rel=1e-12
-    )
-
-
-def test_path_action_zero_and_dilation():
-    zero = {PauliString("XX"): 0.0}
-    samples = [(t, zero) for t in np.linspace(0, 1, 5)]
-    assert path_action(samples, K2_SCHEDULE) == 0.0
-    v = {PauliString("XY"): 1.3}
-    lam = 2.5
-    base = [(t, v) for t in np.linspace(0, 1, 7)]
-    dilated = [(lam * t, {p: x / lam for p, x in v.items()}) for t, _ in base]
-    assert path_action(dilated, K2_SCHEDULE) == pytest.approx(path_action(base, K2_SCHEDULE) / lam)
-
-
-def test_path_action_input_validation():
-    v = {PauliString("XX"): 1.0}
-    with pytest.raises(ValueError):
-        path_action([(0.0, v)], K2_SCHEDULE)
-    with pytest.raises(ValueError):
-        path_action([(0.0, v), (0.0, v)], K2_SCHEDULE)
 
 
 def test_geodesic_residual_second_order():
@@ -211,14 +150,9 @@ def test_sectional_curvature_scale_invariant():
     assert sectional_curvature(h2, d2, K2_SCHEDULE) == pytest.approx(r0, rel=1e-12)
 
 
-def _kron_sum(ham):
-    # independent of the symplectic masks: a sum of Kronecker products of 2x2 factors
-    return sum(j * pauli_matrix(p) for p, j in ham.terms.items())
-
-
 def _trace_oracle(hk, dk):
     # evaluate the commutator traces with plain np.trace on Kronecker-assembled matrices
-    H, D = _kron_sum(hk), _kron_sum(dk)
+    H, D = kron_sum(hk), kron_sum(dk)
     dim = H.shape[0]
     num = 2 * np.trace(commutator(H, D) @ commutator(D, H)).real / dim
     den = (np.trace(D @ D).real / dim) * (np.trace(H @ H).real / dim)
@@ -360,15 +294,3 @@ def test_trace_ratio_matches_anticommutation_count(K):
     result = curvature_ensemble(K, K2_SCHEDULE, trials=150, seed=60)
     assert result.trace_ratio_mean == pytest.approx(analytic, rel=0.05)
 
-
-def test_action_of_hamiltonian_flow():
-    # end to end: sampled velocities of exp(-iHt) integrate to the action
-    # (1/2) sum J^2 * tau of the constant-speed geodesic
-    h = sample_klocal(2, 2, True, 2.0, seed=61)
-    hm = h.dense()
-    w, v = np.linalg.eigh(hm)
-    path = lambda t: (v * np.exp(-1j * w * t)) @ v.conj().T
-    tau = 0.9
-    samples = [(t, velocity_components(path, t, h=2e-5)) for t in np.linspace(0, tau, 7)]
-    flat = PenaltySchedule(k=2, c=1.0)
-    assert path_action(samples, flat) == pytest.approx(0.5 * h.coupling_norm_sq() * tau, rel=1e-6)

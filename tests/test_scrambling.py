@@ -14,8 +14,6 @@ from complexitylab.scrambling import (
     _pairing_law,
     _reachable_law,
     _step,
-    circuit_complexity_linear,
-    expected_step_increment,
     logistic_size,
     precursor_complexity,
     scrambling_time,
@@ -23,15 +21,13 @@ from complexitylab.scrambling import (
 )
 
 
-def test_linear_complexity_values():
-    assert circuit_complexity_linear(4, 5) == 10
-    assert circuit_complexity_linear(8, 0) == 0
-    assert circuit_complexity_linear(6, 7) == 21
+def expected_step_increment(K, s):
+    """Exact one-step mean growth s(K - s)/(K - 1) of the infected count.
 
-
-def test_linear_complexity_rejects_odd():
-    with pytest.raises(ValueError):
-        circuit_complexity_linear(5, 3)
+    Each uninfected qubit is infected exactly when its random partner is
+    infected, which happens with probability s/(K - 1).
+    """
+    return s * (K - s) / (K - 1)
 
 
 def all_pairings(qubits):

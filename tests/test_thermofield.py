@@ -236,6 +236,13 @@ def test_fubini_distances():
     assert fubini_distance(e0, mix) == pytest.approx(math.pi / 4)
     with pytest.raises(ValueError):
         fubini_distance(e0, 2 * e1)
+    # equal states up to a phase, where arccos of an overlap 1 - 1 ulp reads 1.5e-8
+    state = tfd([0.0, 0.7, 1.9, 2.3, 5.1], beta=1.3)
+    for t in (0.3, 1.7, 12.0):
+        assert fubini_distance(state.vector(), evolve_tfd(state, t, t, "minus")) <= 1e-15, t
+    psi = np.random.default_rng(5).normal(size=(8, 2)) @ [1.0, 1j]
+    psi /= np.linalg.norm(psi)
+    assert fubini_distance(psi, np.exp(0.3j) * psi) <= 1e-15
 
 
 @settings(max_examples=30)
