@@ -23,6 +23,7 @@ import numpy as np
 from .paulis import (
     CommutatorTable,
     KLocalHamiltonian,
+    _sum_of_squares,
     enumerate_strings,
     evolve,
     gaussian_couplings,
@@ -103,9 +104,9 @@ def loschmidt(H: np.ndarray, Delta: np.ndarray, t: float, dtheta: float) -> np.n
 
 def _trace_ratio(table: CommutatorTable, h: np.ndarray, d: np.ndarray) -> float:
     """2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) for couplings h and d over the
-    table's terms.  The norms are sequential sums in term order, bit for
-    bit KLocalHamiltonian.coupling_norm_sq (h @ h would sum pairwise)."""
-    return 2.0 * table.commutator_norm_sq(h, d) / (sum((h * h).tolist()) * sum((d * d).tolist()))
+    table's terms.  The norms come from the one left-to-right sum that
+    KLocalHamiltonian.coupling_norm_sq uses, so they agree bit for bit."""
+    return 2.0 * table.commutator_norm_sq(h, d) / (_sum_of_squares(h) * _sum_of_squares(d))
 
 
 def _orthogonal_couplings(K: int, n: int, seed: int, draw: int) -> tuple[np.ndarray, np.ndarray]:

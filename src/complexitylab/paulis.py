@@ -133,7 +133,7 @@ class KLocalHamiltonian:
 
     def coupling_norm_sq(self) -> float:
         """sum_I J_I^2, which equals the normalized trace of H^2."""
-        return float(sum(j * j for j in self.terms.values()))
+        return _sum_of_squares(self.couplings())
 
     def dense(self) -> np.ndarray:
         """Assemble the dense matrix.
@@ -149,6 +149,12 @@ class KLocalHamiltonian:
             phase = (1j) ** p.num_y * (-1.0) ** np.bitwise_count(cols & p.z)
             H[cols ^ p.x, cols] += J * phase
         return H
+
+
+def _sum_of_squares(x: np.ndarray) -> float:
+    """sum x_i^2 added left to right in index order, the same bits on every
+    Python (the builtin sum compensates from 3.12 on, np.sum adds pairwise)."""
+    return float(np.add.accumulate(x * x)[-1]) if len(x) else 0.0
 
 
 def _symplectic(strings: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,9 +176,10 @@ class CommutatorTable:
     i^e = i s with the sign s = +1 or -1.
 
     The table depends only on the two term lists, so one table serves
-    every pair of coupling vectors over them.  ``left``/``right`` index
-    the pairs' terms, ``sign`` holds s and ``product`` numbers the
-    distinct product strings c.
+    every pair of coupling vectors over them.  The pairs are stored in
+    left-term order: ``_repeats`` counts the pairs of each left term,
+    ``_signed_right`` indexes each pair's s d_b in the signed couplings
+    [d, -d], and ``product`` numbers the distinct product strings c.
     """
 
     def __init__(self, left: Sequence[PauliString], right: Sequence[PauliString]):
@@ -185,28 +192,32 @@ class CommutatorTable:
         xb, zb, yb = _symplectic(right)
         twist = np.bitwise_count(za[:, None] & xb).astype(np.int64)
         odd = (np.bitwise_count(xa[:, None] & zb) + twist) & 1
-        a, b = self.left, self.right = np.nonzero(odd)
+        a, b = np.nonzero(odd)  # row-major, so in left-term order
         xc, zc = xa[a] ^ xb[b], za[a] ^ zb[b]
         e = (ya[a] + yb[b] - np.bitwise_count(xc & zc) + 2 * twist[a, b]) % 4
-        self.sign = np.where(e == 1, 1.0, -1.0)
+        self._repeats = np.bincount(a, minlength=len(left))
+        self._signed_right = np.where(e == 1, b, b + len(right))
         keys, self.product = np.unique((xc << K) | zc, return_inverse=True)
         self.num_products = len(keys)
 
     def __len__(self) -> int:
         """Number of anticommuting pairs."""
-        return len(self.left)
+        return len(self.product)
 
     def commutator_norm_sq(self, h: np.ndarray, d: np.ndarray) -> float:
         """Normalized Tr([H, D]^dag [H, D]) for couplings ``h`` and ``d``.
 
-        With [H, D] = sum_c 2i S_c sigma_c, where S_c sums s h_a d_b over
-        the pairs whose product is c, the trace is sum_c 4 S_c^2.
+        With [H, D] = sum_c 2i S_c sigma_c, where S_c sums h_a (s d_b) over
+        the pairs whose product is c, the trace is sum_c 4 S_c^2.  Each
+        pair's term is one repeat of h and one gather from [d, -d]; since
+        (s h) d = h (s d) exactly, this is s h_a d_b bit for bit.
         """
         h = np.asarray(h, dtype=float)
         d = np.asarray(d, dtype=float)
         if (h.shape, d.shape) != ((self.shape[0],), (self.shape[1],)):
             raise ValueError(f"coupling shapes {h.shape}, {d.shape} do not match the table {self.shape}")
-        S = np.bincount(self.product, weights=self.sign * h[self.left] * d[self.right], minlength=self.num_products)
+        terms = np.repeat(h, self._repeats) * np.concatenate((d, -d))[self._signed_right]
+        S = np.bincount(self.product, weights=terms, minlength=self.num_products)
         return 4.0 * float(np.sum(S * S))
 
 

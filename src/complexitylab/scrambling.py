@@ -6,7 +6,10 @@ The spread is modelled combinatorially: a pair touching the infected set
 becomes fully infected.  One step is sampled from its exact law: with s
 infected, the number m of infected-infected pairs in a uniform pairing
 fixes the next count 2(s - m).  Trials are kept as the number at each
-count and moved by one multinomial draw per occupied count.
+count and moved by one multinomial draw per occupied count.  The law is
+tabulated once per K as padded rows of probabilities and of the counts
+2(s - m) they lead to, so a step is one row gather, one multinomial draw
+and one bincount.
 
 The discrete model doubles per step while s << K (s = 1, 2, 4.0, 8.0,
 15.9, ... at K = 1000) and crosses over near tau = log2 K.  The logistic
@@ -61,25 +64,27 @@ def _pairing_law(K: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.cumsum(widths, out=starts[1:])
     first = starts[:-1]
     # log P(m)/P(m-1) at every entry but a row's first, written as
-    # log((u+2)(u+1)) - log(2m (K-s-u)) with u = s - 2m; in place, since
-    # at K = 10^4 each flat array is 50 MB
-    m = np.arange(starts[-1], dtype=np.float64)
-    m -= np.repeat(first - m_lo, widths)
-    u = np.repeat(s.astype(np.float64), widths)
-    u -= m
-    u -= m
-    t = np.repeat((K - s).astype(np.float64), widths)
-    t -= u
-    m *= 2.0
-    m *= t
-    np.add(u, 1.0, out=t)
-    u += 2.0
-    u *= t
-    del t
-    logp = np.log(u, out=u)
-    with np.errstate(divide="ignore"):  # the first entries, overwritten below
-        logp -= np.log(m, out=m)
-    del m
+    # log((u+2)(u+1)) - log(2m (K-s-u)) with u = s - 2m; in place and in
+    # blocks of at most 2^18 entries, since at K = 10^4 a flat array is 50 MB
+    logp = np.empty(starts[-1])
+    block = max(1, (1 << 18) // int(widths.max()))
+    for a in range(0, len(s), block):
+        b = min(a + block, len(s))
+        w = widths[a:b]
+        m = np.arange(starts[a], starts[b], dtype=np.float64)
+        m -= np.repeat(first[a:b] - m_lo[a:b], w)
+        u = np.repeat(s[a:b].astype(np.float64), w)
+        u -= m
+        u -= m
+        t = np.repeat((K - s[a:b]).astype(np.float64), w)
+        t -= u
+        m *= 2.0
+        m *= t
+        np.add(u, 1.0, out=t)
+        u += 2.0
+        u *= t
+        with np.errstate(divide="ignore"):  # the first entries, overwritten below
+            np.subtract(np.log(u, out=u), np.log(m, out=m), out=logp[starts[a] : starts[b]])
     # a cumulative sum that restarts at every row: each first entry cancels
     # the previous row's total
     logp[first] = 0.0
@@ -93,38 +98,59 @@ def _pairing_law(K: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _reachable_law(K: int) -> tuple[np.ndarray, ...]:
-    """Read-only `_pairing_law` rows of s = 1 and even s, the counts reachable from s = 1; s is row s // 2."""
-    law = _pairing_law(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
-    for a in law:
+def _reachable_law(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_pairing_law` rows of s = 1 and even s, the counts reachable
+    from s = 1, as read-only padded rows; s is row s // 2.
+
+    Row r holds the probabilities of m = m_lo, m_lo + 1, ... in
+    probs[r, :widths[r]] and zeros after, and dests[r] the count 2(s - m)
+    of every cell, the row's last m repeated in the padding.  The ragged
+    rows are padded in place, one row slice at a time and the last row
+    first, so no row is overwritten before it moves and no second copy of
+    the law is made (at K = 10^4 the padded probabilities take 100 MB).
+    """
+    s = np.concatenate(([1], np.arange(2, K + 1, 2)))
+    starts, m_lo, p = _pairing_law(K, s)
+    widths = np.diff(starts)
+    W = int(widths.max())
+    p.resize(len(s) * W, refcheck=False)  # grown in place; no view of p exists
+    first, width = starts.tolist(), widths.tolist()
+    for r in reversed(range(len(s))):
+        a, w = first[r], width[r]
+        p[r * W : r * W + w] = p[a : a + w]
+        p[r * W + w : (r + 1) * W] = 0.0
+    small = np.min_scalar_type(2 * K)  # in place below: at K = 10^4 each such array is 25 MB
+    dests = np.minimum(np.arange(W, dtype=small), (widths - 1).astype(small)[:, None])  # m - m_lo
+    dests *= 2
+    np.subtract((2 * (s - m_lo)).astype(small)[:, None], dests, out=dests)
+    probs = p.reshape(len(s), W)
+    for a in (probs, dests, widths):
         a.flags.writeable = False
-    return law
+    return probs, dests, widths
 
 
 def _step(K: int, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Advance an occupancy vector one step under uniformly random pairings.
+    """Advance an occupancy vector of length K + 1 one step under uniformly
+    random pairings.
 
     counts[s] trials hold s infected qubits.  The trials at each occupied s
     split over the pair count m by one multinomial draw from the exact law,
-    and each share moves to 2(s - m).  Rows are padded to the widest support
-    with zeros that stand for the row's last m, so the multinomial's last
-    category, which takes whatever rounding leaves, is a valid count.
-    Only the counts reachable from s = 1 have rows: s = 1 and even s.
+    and each share moves to 2(s - m).  The occupied rows of `_reachable_law`
+    are cut to the widest of them; their zero padding stands for the row's
+    last m, so the multinomial's last category, which takes whatever
+    rounding leaves, is a valid count.  Only the counts reachable from
+    s = 1 have rows: s = 1 and even s.
     """
+    if len(counts) != K + 1:
+        raise ValueError(f"counts has length {len(counts)}, not K + 1 = {K + 1}")
     occupied = np.flatnonzero(counts)
     if occupied[0] == 0 or np.count_nonzero(occupied & 1) > (occupied[0] == 1):  # 0 or an odd s > 1
         raise ValueError(f"occupied counts {occupied.tolist()} are not all 1 or even and >= 2")
     r = occupied >> 1
-    starts, m_lo, p = _reachable_law(K)
-    first, last = starts[r], starts[r + 1] - 1
-    flat = first[:, None] + np.arange((last - first).max() + 1)
-    pad = flat > last[:, None]
-    np.minimum(flat, last[:, None], out=flat)
-    pvals = p[flat]
-    pvals[pad] = 0.0
-    draws = rng.multinomial(counts[occupied], pvals)
-    new = (2 * (occupied - m_lo[r] + first))[:, None] - 2 * flat  # 2(s - m)
-    return np.bincount(new.ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
+    probs, dests, widths = _reachable_law(K)
+    w = widths[r].max()
+    draws = rng.multinomial(counts[occupied], probs[r, :w])
+    return np.bincount(dests[r, :w].ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
 
 
 def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> EpidemicTrajectory:

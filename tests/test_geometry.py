@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from complexitylab import geometry
+from complexitylab.cli import main
 from complexitylab.geometry import (
     ORTHOGONALITY_TOL,
     PenaltySchedule,
+    _orthogonal_couplings,
     _trace_ratio,
     commutator,
     curvature_ensemble,
@@ -238,7 +241,7 @@ def test_single_trial_ensemble_is_the_pair_curvature_bit_for_bit(K):
         assert single.mean == sectional_curvature(hk, dk, K2_SCHEDULE), f"seed {seed}"
 
 
-@pytest.mark.parametrize("K", [4, 6])
+@pytest.mark.parametrize("K", [4, 6, 8, 10])
 def test_curvature_ensemble_matches_a_loop_over_sampled_pairs(K):
     # reference: Hamiltonian pairs, their own term tables and coupling_norm_sq
     trials, seed = 9, 70
@@ -294,3 +297,72 @@ def test_trace_ratio_matches_anticommutation_count(K):
     result = curvature_ensemble(K, K2_SCHEDULE, trials=150, seed=60)
     assert result.trace_ratio_mean == pytest.approx(analytic, rel=0.05)
 
+
+# --- the two-gather table that the repeat-and-gather one replaced, as its oracle
+
+
+class TwoGatherTable:
+    """Anticommuting pairs with their left and right indices and signs;
+    each pair's term is s h_a d_b, gathered from h and from d."""
+
+    def __init__(self, left, right):
+        K = left[0].num_qubits
+        self.shape = (len(left), len(right))
+        xa, za = (np.array([getattr(p, f) for p in left]) for f in "xz")
+        xb, zb = (np.array([getattr(p, f) for p in right]) for f in "xz")
+        ya, yb = np.bitwise_count(xa & za), np.bitwise_count(xb & zb)
+        twist = np.bitwise_count(za[:, None] & xb).astype(np.int64)
+        odd = (np.bitwise_count(xa[:, None] & zb) + twist) & 1
+        a, b = self.left, self.right = np.nonzero(odd)
+        xc, zc = xa[a] ^ xb[b], za[a] ^ zb[b]
+        e = (ya[a].astype(np.int64) + yb[b] - np.bitwise_count(xc & zc) + 2 * twist[a, b]) % 4
+        self.sign = np.where(e == 1, 1.0, -1.0)
+        keys, self.product = np.unique((xc << K) | zc, return_inverse=True)
+        self.num_products = len(keys)
+
+    def __len__(self):
+        return len(self.left)
+
+    def commutator_norm_sq(self, h, d):
+        S = np.bincount(self.product, weights=self.sign * h[self.left] * d[self.right], minlength=self.num_products)
+        return 4.0 * float(np.sum(S * S))
+
+
+@pytest.mark.parametrize("K", [4, 6, 8, 10])
+def test_commutator_norm_equals_the_two_gather_reference(K):
+    strings = enumerate_strings(K, 2, exactly_local=True)
+    table, ref = CommutatorTable(strings, strings), TwoGatherTable(strings, strings)
+    assert len(table) == len(ref)
+    for draw in range(10):
+        h, d = _orthogonal_couplings(K, len(strings), 80, draw)
+        assert table.commutator_norm_sq(h, d) == ref.commutator_norm_sq(h, d)
+    # distinct term lists of different lengths: the pairs of each left term
+    # are repeated from h and the right indices gathered from [d, -d]
+    left, right = strings[: len(strings) // 3], strings[len(strings) // 2 :]
+    table, ref = CommutatorTable(left, right), TwoGatherTable(left, right)
+    rng = np.random.default_rng(K)
+    for _ in range(10):
+        h, d = rng.normal(size=len(left)), rng.normal(size=len(right))
+        assert table.commutator_norm_sq(h, d) == ref.commutator_norm_sq(h, d)
+
+
+@pytest.mark.parametrize("K, trials", [(4, 200), (6, 150), (8, 100), (10, 50)])
+def test_curvature_ensemble_equals_the_two_gather_reference(K, trials, monkeypatch):
+    new = curvature_ensemble(K, K2_SCHEDULE, trials, seed=7)
+    monkeypatch.setattr(geometry, "CommutatorTable", TwoGatherTable)
+    assert curvature_ensemble(K, K2_SCHEDULE, trials, seed=7) == new
+
+
+def test_curvature_csv_is_the_same_with_the_reference_table(tmp_path, monkeypatch):
+    assert main(["curvature", "--outdir", str(tmp_path / "new")]) == 0
+    built = []
+
+    class Counted(TwoGatherTable):
+        def __init__(self, left, right):
+            built.append(len(left))
+            super().__init__(left, right)
+
+    monkeypatch.setattr(geometry, "CommutatorTable", Counted)
+    assert main(["curvature", "--outdir", str(tmp_path / "ref")]) == 0
+    assert built == [252]  # one table of the 9 C(8, 2) strings at the default K = 8
+    assert (tmp_path / "new" / "curvature.csv").read_bytes() == (tmp_path / "ref" / "curvature.csv").read_bytes()

@@ -7,6 +7,7 @@ from complexitylab.counting import parameter_count
 from complexitylab.paulis import (
     KLocalHamiltonian,
     PauliString,
+    _sum_of_squares,
     enumerate_strings,
     evolve,
     normalized_trace_product,
@@ -190,3 +191,28 @@ def test_all_strings_hermitian_traceless():
         assert np.allclose(m, m.conj().T)
         assert abs(np.trace(m)) < 1e-14
         assert np.allclose(m @ m.conj().T, np.eye(4))
+
+
+def loop_sum_of_squares(x):
+    acc = 0.0
+    for v in x.tolist():
+        acc += v * v
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 54, 405, 4096])
+def test_sum_of_squares_is_a_left_to_right_loop_bit_for_bit(n):
+    x = np.random.default_rng(n).normal(0.0, math.sqrt(10 / n), size=n)
+    assert _sum_of_squares(x) == loop_sum_of_squares(x)
+    J = x[: len(enumerate_strings(10, 2))]
+    H = KLocalHamiltonian(10, 2, dict(zip(enumerate_strings(10, 2), J.tolist())))
+    assert H.coupling_norm_sq() == loop_sum_of_squares(J)
+
+
+def test_sum_of_squares_neither_compensates_nor_pairs():
+    # each 1e-16 is lost against 1 when added in order; a compensated or a
+    # pairwise sum keeps some of the hundred
+    x = np.array([1.0] + [1e-8] * 100)
+    assert _sum_of_squares(x) == loop_sum_of_squares(x) == 1.0
+    assert math.fsum((x * x).tolist()) > 1.0 and np.sum(x * x) > 1.0
+    assert _sum_of_squares(np.array([])) == KLocalHamiltonian(2, 2, {}).coupling_norm_sq() == 0.0

@@ -1,3 +1,4 @@
+import functools
 import math
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from scipy import stats
 from scipy.special import expit, gammaln
 
 from complexitylab import scrambling
+from complexitylab.cli import main
 from complexitylab.scrambling import (
     _pairing_law,
     _reachable_law,
@@ -91,6 +93,14 @@ def test_step_rejects_counts_unreachable_from_s1(s):
     counts = occupancy(10, 2, 100)
     counts[s] = 100
     with pytest.raises(ValueError, match="not all 1 or even"):
+        _step(10, counts, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("length", [8, 13])
+def test_step_rejects_an_occupancy_vector_of_the_wrong_length(length):
+    counts = np.zeros(length, dtype=np.int64)
+    counts[2] = 100
+    with pytest.raises(ValueError, match=f"length {length}, not K \\+ 1 = 11"):
         _step(10, counts, np.random.default_rng(0))
 
 
@@ -266,18 +276,21 @@ def test_law_equals_pairing_enumeration(K, n_pairings):
 @pytest.mark.parametrize("K", [4, 6, 8])
 def test_sampler_table_equals_pairing_enumeration(K):
     # the cached rows are the reachable counts, s = 1 and even s, s at row
-    # s // 2; one step from each lands on {2(s - m)} with the enumerated
-    # frequencies
-    starts, m_lo, p = _reachable_law(K)
+    # s // 2, zero-padded to the widest row with the last count repeated;
+    # one step from each lands on {2(s - m)} with the enumerated frequencies
+    probs, dests, widths = _reachable_law(K)
     reachable = [1] + list(range(2, K + 1, 2))
-    assert len(starts) == len(reachable) + 1
+    assert len(probs) == len(dests) == len(widths) == len(reachable)
+    assert probs.shape == dests.shape == (len(reachable), widths.max())
     n = 20_000
     for s in reachable:
         exact, _ = enumerated_law(K, s)
         ms = sorted(exact)
-        r = s // 2
-        assert list(range(m_lo[r], m_lo[r] + starts[r + 1] - starts[r])) == ms
-        assert np.allclose(p[starts[r] : starts[r + 1]], [float(exact[m]) for m in ms], rtol=0, atol=1e-12)
+        r, w = s // 2, widths[s // 2]
+        assert dests[r, :w].tolist() == [2 * (s - m) for m in ms]
+        assert np.all(dests[r, w:] == dests[r, w - 1])
+        assert np.allclose(probs[r, :w], [float(exact[m]) for m in ms], rtol=0, atol=1e-12)
+        assert np.all(probs[r, w:] == 0.0)
         out = _step(K, occupancy(K, s, n), np.random.default_rng([K, s]))
         assert out.sum() == n
         assert set(np.flatnonzero(out).tolist()) == {2 * (s - m) for m in ms}
@@ -387,3 +400,56 @@ def test_exact_chain_doubles_per_step_at_k1000():
 def test_epidemic_rejects_negative_steps():
     with pytest.raises(ValueError, match="max_steps"):
         simulate_epidemic(10, -1, 10, 0)
+
+
+# --- the per-step padding sampler that `_step` replaced, as its oracle --------
+
+
+@functools.lru_cache(maxsize=None)
+def ragged_law(K):
+    return _pairing_law(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
+
+
+def reference_step(K, counts, rng):
+    """One step over the ragged law rows, padded afresh each step: the
+    flat indices of every occupied row are cut at the row's last entry,
+    the cut cells get probability 0 and the count of the last m."""
+    occupied = np.flatnonzero(counts)
+    r = occupied >> 1
+    starts, m_lo, p = ragged_law(K)
+    first, last = starts[r], starts[r + 1] - 1
+    flat = first[:, None] + np.arange((last - first).max() + 1)
+    pad = flat > last[:, None]
+    np.minimum(flat, last[:, None], out=flat)
+    pvals = p[flat]
+    pvals[pad] = 0.0
+    draws = rng.multinomial(counts[occupied], pvals)
+    new = (2 * (occupied - m_lo[r] + first))[:, None] - 2 * flat  # 2(s - m)
+    return np.bincount(new.ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
+
+
+@pytest.mark.parametrize("K, trials", [(2, 50), (4, 500), (10, 100_000), (100, 5000), (1000, 4096)])
+def test_step_equals_the_per_step_padding_reference(K, trials):
+    # the same counts after every step, and the same generator state, so
+    # the padded table draws exactly what the reference draws
+    for seed in range(5):
+        new = ref = occupancy(K, 1, trials)
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(14):
+            new, ref = _step(K, new, rng_new), reference_step(K, ref, rng_ref)
+            assert np.array_equal(new, ref)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_scramble_csv_is_the_same_with_the_reference_step(tmp_path, monkeypatch):
+    assert main(["scramble", "--outdir", str(tmp_path / "new")]) == 0
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return reference_step(*args)
+
+    monkeypatch.setattr(scrambling, "_step", counted)
+    assert main(["scramble", "--outdir", str(tmp_path / "ref")]) == 0
+    assert calls == [10] * 12
+    assert (tmp_path / "new" / "scramble.csv").read_bytes() == (tmp_path / "ref" / "scramble.csv").read_bytes()
