@@ -107,6 +107,19 @@ def check_epidemic_logistic() -> str:
     assert sim_steps == {2}, f"simulator step from s=1 at K=4 gave {sim_steps}, expected always 2"
 
     K = 10
+    # exact oracle for the sampled law: tally m, the pairs with both qubits
+    # below s, over every perfect pairing of 10 qubits, for s = 1 and even s
+    pairings = np.array(list(_all_pairings(tuple(range(K)))))
+    assert len(pairings) == 945, "there are exactly 945 perfect pairings of 10 qubits"
+    s = np.array([1, *range(2, K + 1, 2)])
+    m = np.count_nonzero(pairings.max(axis=2)[:, None, :] < s[:, None], axis=2)
+    tally = np.zeros((len(s), K + 1), dtype=np.int64)
+    np.add.at(tally, (np.arange(len(s)), m), 1)
+    law = scrambling._reachable_law(K)[0]
+    cells = np.maximum(0, s - K // 2)[:, None] + np.arange(law.shape[1])  # row r holds m = m_lo, m_lo + 1, ...
+    law_err = float(np.max(np.abs(law - tally[np.arange(len(s))[:, None], cells] / len(pairings))))
+    assert law_err < 1e-12, f"K={K} one-step law off the pairing tally by {law_err:.1e}"
+
     traj = scrambling.simulate_epidemic(K, max_steps=12, trials=100_000, seed=20240101)
     curve = scrambling.logistic_size(traj.taus, K)
     gap = float(np.max(np.abs(traj.mean_infected / K - curve)))
@@ -119,7 +132,10 @@ def check_epidemic_logistic() -> str:
         fd = (scrambling.precursor_complexity(tau + h, K) - scrambling.precursor_complexity(tau - h, K)) / (2 * h)
         worst = max(worst, abs(fd - K * scrambling.logistic_size(tau, K)))
     assert worst < 1e-8, f"precursor derivative identity residual {worst:.2e} >= 1e-8"
-    return f"exact one-step mean = 1, max MC-logistic gap = {gap:.4f}, derivative residual = {worst:.1e}"
+    return (
+        f"exact one-step mean = 1, max MC-logistic gap = {gap:.4f}, derivative residual = {worst:.1e}, "
+        f"K=10 law vs 945 pairings = {law_err:.1e}"
+    )
 
 
 def check_curvature_ensemble() -> str:

@@ -324,7 +324,9 @@ def _checked(name: str, ok: Callable, convert: Callable[[str], object] = finite)
     return parse
 
 
-even_count = _checked("even_count", lambda v: v >= 2 and v % 2 == 0, int)
+# the epidemic law holds (K/2+1)(K/4+1) cells of 8 B, plus 2 B of counts
+# (4 B from K = 32768): about 0.5 GB at K = 20000, 15 GB at K = 10^5
+even_count_to_20000 = _checked("even_count_to_20000", lambda v: 2 <= v <= 20000 and v % 2 == 0, int)
 even_count_from_4 = _checked("even_count_from_4", lambda v: v >= 4 and v % 2 == 0, int)
 # 2^K floats are held at once, and the counting estimates are documented up to K = 20
 even_count_to_20 = _checked("even_count_to_20", lambda v: 2 <= v <= 20 and v % 2 == 0, int)
@@ -364,7 +366,7 @@ COMMANDS = {
         "The logistic is the K~10 comparison: the discrete model doubles per "
         "step and crosses over near log2 K, so at large K the two separate.",
         (
-            Option("--qubits", even_count, 10, "even qubit count K >= 2"),
+            Option("--qubits", even_count_to_20000, 10, "even qubit count 2 <= K <= 20000"),
             Option("--max-steps", nonnegative_int, 12, "circuit depth to simulate"),
             Option("--trials", positive_int, 20000, "Monte-Carlo trials"),
         ),

@@ -7,9 +7,9 @@ becomes fully infected.  One step is sampled from its exact law: with s
 infected, the number m of infected-infected pairs in a uniform pairing
 fixes the next count 2(s - m).  Trials are kept as the number at each
 count and moved by one multinomial draw per occupied count.  The law is
-tabulated once per K as padded rows of probabilities and of the counts
-2(s - m) they lead to, so a step is one row gather, one multinomial draw
-and one bincount.
+tabulated once per K, a block of rows at a time, straight into padded
+rows of probabilities and of the counts 2(s - m) they lead to, so a step
+is one row gather, one multinomial draw and one bincount.
 
 The discrete model doubles per step while s << K (s = 1, 2, 4.0, 8.0,
 15.9, ... at K = 1000) and crosses over near tau = log2 K.  The logistic
@@ -46,84 +46,58 @@ class EpidemicTrajectory:
         return list(zip(self.taus.tolist(), self.mean_infected.tolist(), self.std_error.tolist()))
 
 
-def _pairing_law(K: int, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact law of m, the number of infected-infected pairs, for each s in rows.
+_BLOCK = 1 << 14  # cells of the law built at once; 2^16 raised the peak RSS of K = 10 and 1000 runs by 0.9 MB
+
+
+@functools.lru_cache(maxsize=4)
+def _reachable_law(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact law of m, the number of infected-infected pairs, for s = 1 and
+    even s, the counts reachable from s = 1, as read-only padded rows; s is
+    row s // 2.
 
     With s of K qubits infected, a uniform perfect pairing has m such pairs
     with probability
     P(m) = C(s,2m)(2m-1)!! (K-s)!/(K-2s+2m)! (K-2s+2m-1)!! / (K-1)!!
-    on its support max(0, s - K/2) <= m <= s//2.  Each row is filled from
-    the ratio P(m+1)/P(m) = (s-2m)(s-2m-1) / ((2m+2)(K-2s+2m+2)) in log
-    space and normalised.  Rows are stored ragged: row r is
-    p[starts[r]:starts[r+1]] and begins at m = m_lo[r].
+    on its support m_lo = max(0, s - K/2) <= m <= s//2.  Row r holds the
+    probabilities of m = m_lo, m_lo + 1, ... in probs[r, :widths[r]] and
+    zeros after, and dests[r] the count 2(s - m) of every cell, the row's
+    last m repeated in the padding.  Each block of rows is written straight
+    into the table: the ratio P(m)/P(m-1) = (u+2)(u+1) / (2m (K-s-u)), with
+    u = s - 2m, in log space and -inf past the row's width, then summed
+    along the row and normalised, so a row's bits depend only on (K, s).
     """
-    s = np.asarray(rows, dtype=np.int64)
+    s = np.concatenate(([1], np.arange(2, K + 1, 2)))
     m_lo = np.maximum(0, s - K // 2)
     widths = s // 2 - m_lo + 1
-    starts = np.zeros(len(s) + 1, dtype=np.int64)
-    np.cumsum(widths, out=starts[1:])
-    first = starts[:-1]
-    # log P(m)/P(m-1) at every entry but a row's first, written as
-    # log((u+2)(u+1)) - log(2m (K-s-u)) with u = s - 2m; in place and in
-    # blocks of at most 2^18 entries, since at K = 10^4 a flat array is 50 MB
-    logp = np.empty(starts[-1])
-    block = max(1, (1 << 18) // int(widths.max()))
+    W = int(widths.max())
+    probs = np.empty((len(s), W))  # at K = 10^4 the padded probabilities take 100 MB
+    block = max(1, _BLOCK // W)
     for a in range(0, len(s), block):
         b = min(a + block, len(s))
-        w = widths[a:b]
-        m = np.arange(starts[a], starts[b], dtype=np.float64)
-        m -= np.repeat(first[a:b] - m_lo[a:b], w)
-        u = np.repeat(s[a:b].astype(np.float64), w)
-        u -= m
-        u -= m
-        t = np.repeat((K - s[a:b]).astype(np.float64), w)
-        t -= u
+        w = int(widths[a:b].max())  # the block's own width; the cells past it are padding
+        m = np.add.outer(m_lo[a:b], np.arange(w), dtype=np.float64)
+        u = s[a:b, None] - 2 * m
+        t = (K - s[a:b, None]) - u
         m *= 2.0
         m *= t
         np.add(u, 1.0, out=t)
         u += 2.0
         u *= t
-        with np.errstate(divide="ignore"):  # the first entries, overwritten below
-            np.subtract(np.log(u, out=u), np.log(m, out=m), out=logp[starts[a] : starts[b]])
-    # a cumulative sum that restarts at every row: each first entry cancels
-    # the previous row's total
-    logp[first] = 0.0
-    totals = np.add.reduceat(logp, first)
-    logp[first[1:]] = -totals[:-1]
-    np.cumsum(logp, out=logp)
-    logp -= np.repeat(np.maximum.reduceat(logp, first), widths)
-    p = np.exp(logp, out=logp)
-    p /= np.repeat(np.add.reduceat(p, first), widths)
-    return starts, m_lo, p
-
-
-@functools.lru_cache(maxsize=4)
-def _reachable_law(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `_pairing_law` rows of s = 1 and even s, the counts reachable
-    from s = 1, as read-only padded rows; s is row s // 2.
-
-    Row r holds the probabilities of m = m_lo, m_lo + 1, ... in
-    probs[r, :widths[r]] and zeros after, and dests[r] the count 2(s - m)
-    of every cell, the row's last m repeated in the padding.  The ragged
-    rows are padded in place, one row slice at a time and the last row
-    first, so no row is overwritten before it moves and no second copy of
-    the law is made (at K = 10^4 the padded probabilities take 100 MB).
-    """
-    s = np.concatenate(([1], np.arange(2, K + 1, 2)))
-    starts, m_lo, p = _pairing_law(K, s)
-    widths = np.diff(starts)
-    W = int(widths.max())
-    p.resize(len(s) * W, refcheck=False)  # grown in place; no view of p exists
-    first, width = starts.tolist(), widths.tolist()
-    for r in reversed(range(len(s))):
-        a, w = first[r], width[r]
-        p[r * W : r * W + w] = p[a : a + w]
-        p[r * W + w : (r + 1) * W] = 0.0
+        logp = probs[a:b, :w]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the first cells and the padding, overwritten below
+            np.subtract(np.log(u, out=u), np.log(m, out=m), out=logp)
+        logp[:, 0] = 0.0
+        logp[np.arange(w) >= widths[a:b, None]] = -np.inf
+        np.cumsum(logp, axis=1, out=logp)
+        logp -= logp.max(axis=1, keepdims=True)
+        np.exp(logp, out=logp)
+        probs[a:b, w:] = 0.0
+        # summed over all W cells, so that a row's sum does not depend on w
+        probs[a:b] /= probs[a:b].sum(axis=1, keepdims=True)
     small = np.min_scalar_type(2 * K)  # in place below: at K = 10^4 each such array is 25 MB
     dests = np.minimum(np.arange(W, dtype=small), (widths - 1).astype(small)[:, None])  # m - m_lo
     dests *= 2
     np.subtract((2 * (s - m_lo)).astype(small)[:, None], dests, out=dests)
-    probs = p.reshape(len(s), W)
     for a in (probs, dests, widths):
         a.flags.writeable = False
     return probs, dests, widths

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from complexitylab import acceptance, cli, gates, holography
+from complexitylab import acceptance, cli, gates, holography, scrambling
 from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
 
 
@@ -551,6 +551,7 @@ def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, 
         ("wormhole", "--egrid-points", "1"),
         ("counting", "--qubits", "5"),
         ("counting", "--qubits", "22"),  # 2^22 floats and past the documented K <= 20
+        ("scramble", "--qubits", "20002"),  # an epidemic law of about 0.5 GB at K = 20000
         # float options and --dim: range-checked by their types alike
         ("bfs", "--epsilon", "-1"),
         ("bfs", "--epsilon", "0"),
@@ -617,6 +618,23 @@ def test_failing_paper_suite_check_exits_1(tmp_path, monkeypatch, capsys):
     summary = read(tmp_path / "paper_suite_summary.txt").decode()
     assert "checks: 2\nfailed: 1\nfailing: injected\n" in summary
     assert summary in capsys.readouterr().out
+
+
+def test_paper_suite_fails_on_a_biased_epidemic_law(tmp_path, monkeypatch):
+    # the law raised to the power 1.02 and renormalised keeps the MC-logistic
+    # gap below 0.05; the pairing tally must catch it
+    law = scrambling._reachable_law
+
+    def biased(K):
+        probs, dests, widths = law(K)
+        q = probs**1.02
+        return q / q.sum(axis=1, keepdims=True), dests, widths
+
+    monkeypatch.setattr(scrambling, "_reachable_law", biased)
+    monkeypatch.setattr(acceptance, "CHECKS", [c for c in acceptance.CHECKS if c[0] == "epidemic-logistic"])
+    assert main(["paper-suite", "--outdir", str(tmp_path)]) == 1
+    rows = read(tmp_path / "paper_suite.csv").decode().splitlines()
+    assert rows[1].startswith("epidemic-logistic,FAIL,K=10 one-step law off the pairing tally by ")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

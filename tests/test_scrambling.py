@@ -13,7 +13,6 @@ from scipy.special import expit, gammaln
 from complexitylab import scrambling
 from complexitylab.cli import main
 from complexitylab.scrambling import (
-    _pairing_law,
     _reachable_law,
     _step,
     logistic_size,
@@ -262,17 +261,6 @@ def chain_moments(K, max_steps):
     return np.array(means), np.array(variances)
 
 
-@pytest.mark.parametrize("K, n_pairings", [(4, 3), (6, 15), (8, 105)])
-def test_law_equals_pairing_enumeration(K, n_pairings):
-    starts, m_lo, p = _pairing_law(K, np.arange(K + 1))
-    for s in range(K + 1):
-        law, count = enumerated_law(K, s)
-        assert count == n_pairings
-        row = p[starts[s] : starts[s + 1]]
-        assert sorted(law) == list(range(m_lo[s], m_lo[s] + len(row)))
-        assert np.allclose(row, [float(law[m]) for m in sorted(law)], rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("K", [4, 6, 8])
 def test_sampler_table_equals_pairing_enumeration(K):
     # the cached rows are the reachable counts, s = 1 and even s, s at row
@@ -284,7 +272,8 @@ def test_sampler_table_equals_pairing_enumeration(K):
     assert probs.shape == dests.shape == (len(reachable), widths.max())
     n = 20_000
     for s in reachable:
-        exact, _ = enumerated_law(K, s)
+        exact, count = enumerated_law(K, s)
+        assert count == odd_factorial(K - 1)
         ms = sorted(exact)
         r, w = s // 2, widths[s // 2]
         assert dests[r, :w].tolist() == [2 * (s - m) for m in ms]
@@ -301,13 +290,20 @@ def test_sampler_table_equals_pairing_enumeration(K):
 
 @pytest.mark.parametrize("K", [10, 1000])
 def test_law_mean_is_exact_increment(K):
-    rows = np.arange(1, K + 1)
-    starts, m_lo, p = _pairing_law(K, rows)
-    for r, s in enumerate(rows):
-        m = np.arange(m_lo[r], m_lo[r] + starts[r + 1] - starts[r])
-        prob = p[starts[r] : starts[r + 1]]
+    probs, dests, widths = _reachable_law(K)
+    for s in [1] + list(range(2, K + 1, 2)):
+        prob = probs[s // 2]
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
-        assert prob @ (2 * (s - m)) == pytest.approx(s + expected_step_increment(K, s), rel=1e-12)
+        assert prob @ dests[s // 2] == pytest.approx(s + expected_step_increment(K, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [100, 1000])
+def test_law_rows_do_not_depend_on_their_block(K, monkeypatch):
+    # built one row at a time, every row has the bits of the default build
+    probs, dests, widths = _reachable_law(K)
+    monkeypatch.setattr(scrambling, "_BLOCK", 1)
+    single = _reachable_law.__wrapped__(K)
+    assert all(np.array_equal(a, b) for a, b in zip(single, (probs, dests, widths)))
 
 
 @pytest.mark.parametrize("K, s", [(10, 4), (1000, 40), (1000, 600)])
@@ -374,17 +370,14 @@ def test_pooled_mc_matches_exact_chain(K, steps, trials):
 
 @pytest.mark.parametrize("K, steps, trials", POOLED)
 def test_pooled_chain_test_rejects_a_biased_law(K, steps, trials, monkeypatch):
-    def biased(K, rows):
-        starts, m_lo, p = _pairing_law(K, rows)
-        q = p**1.02
-        return starts, m_lo, q / np.repeat(np.add.reduceat(q, starts[:-1]), np.diff(starts))
+    @functools.lru_cache(maxsize=None)
+    def biased(K):
+        probs, dests, widths = _reachable_law(K)
+        q = probs**1.02
+        return q / q.sum(axis=1, keepdims=True), dests, widths
 
-    monkeypatch.setattr(scrambling, "_pairing_law", biased)
-    _reachable_law.cache_clear()
-    try:
-        assert pooled_max_z(K, steps, trials) >= 4
-    finally:
-        _reachable_law.cache_clear()
+    monkeypatch.setattr(scrambling, "_reachable_law", biased)
+    assert pooled_max_z(K, steps, trials) >= 4
 
 
 def test_exact_chain_doubles_per_step_at_k1000():
@@ -407,7 +400,13 @@ def test_epidemic_rejects_negative_steps():
 
 @functools.lru_cache(maxsize=None)
 def ragged_law(K):
-    return _pairing_law(K, np.concatenate(([1], np.arange(2, K + 1, 2))))
+    """The rows of `_reachable_law` cut to their widths and laid end to end:
+    row r is p[starts[r]:starts[r+1]] and begins at m = m_lo[r]."""
+    probs, _, widths = _reachable_law(K)
+    s = np.concatenate(([1], np.arange(2, K + 1, 2)))
+    starts = np.concatenate(([0], np.cumsum(widths)))
+    p = np.concatenate([probs[r, :w] for r, w in enumerate(widths.tolist())])
+    return starts, np.maximum(0, s - K // 2), p
 
 
 def reference_step(K, counts, rng):
