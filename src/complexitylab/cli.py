@@ -26,7 +26,6 @@ import numpy as np
 from . import acceptance, counting, holography, scrambling
 from . import thermofield as tfd
 from .gates import (
-    bfs_complexity,
     cnot_pair_gateset,
     random_inverse_closed_gateset,
     sphere_growth,
@@ -146,9 +145,8 @@ def cmd_bfs(opts) -> Result:
         "truncated": ball.truncated,
     }
     if target is not None:
-        # a truncated ball is as deep as memory allows: answer from its layers alone
-        max_depth = len(ball.counts) - 1 if ball.truncated else opts.max_depth
-        depth = bfs_complexity(target, gs, max_depth, ball=ball)
+        # the ball holds every word to --max-depth, or all the memory allows
+        depth = ball.depth_of(target)
         summary["target_depth"] = "not-found" if depth is None else depth
     return ["depth", "count"], list(enumerate(ball.counts)), summary
 

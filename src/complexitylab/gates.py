@@ -237,35 +237,21 @@ def sphere_growth(gs: GateSet, max_depth: int, max_elements: int | None = None) 
     return _grow(gs, max_depth, max_elements)
 
 
-def bfs_complexity(
-    target: np.ndarray,
-    gs: GateSet,
-    max_depth: int,
-    ball: ComplexityBall | None = None,
-) -> int | None:
+def bfs_complexity(target: np.ndarray, gs: GateSet, max_depth: int) -> int | None:
     """Least word length n with target ~ g_n ... g_1, or None if the ball
     to ``max_depth`` misses the target.
 
-    A precomputed ``ball`` (from sphere_growth over the same gate set and
-    epsilon, else ValueError) short-circuits the search.  Otherwise the
-    search grows its own ball and stops at the first block of products that
-    reaches the target.
+    The search grows its own ball and stops at the first block of products
+    that reaches the target; to look targets up in a ball already grown,
+    use ``ComplexityBall.depth_of``.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    if ball is not None and (ball.epsilon != gs.epsilon or not np.array_equal(ball.gates, np.stack(gs.matrices()))):
-        raise ValueError("ball was grown over another gate set or epsilon")
     target = np.asarray(target, dtype=complex)
     if target.shape != (gs.dim, gs.dim):
         raise ValueError(f"target shape {target.shape} does not match dim {gs.dim}")
     if not is_unitary(target):
         raise ValueError("target is not unitary")
-    if ball is not None:
-        d = ball.depth_of(target)
-        if d is not None and d <= max_depth:
-            return d
-        if ball.saturated or len(ball.counts) - 1 >= max_depth:
-            return None
     tkey = canonical_key(target, gs.epsilon)
     return _grow(gs, max_depth, None, tkey).index.get(tkey)
 

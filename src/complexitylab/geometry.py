@@ -134,7 +134,6 @@ class CurvatureEnsemble:
     stderr: float
     trace_ratio_mean: float
     trace_ratio_stderr: float
-    trials: int
 
 
 def curvature_ensemble(
@@ -173,5 +172,4 @@ def curvature_ensemble(
         stderr=stderr(curvatures),
         trace_ratio_mean=float(ratios.mean()),
         trace_ratio_stderr=stderr(ratios),
-        trials=trials,
     )

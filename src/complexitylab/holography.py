@@ -33,8 +33,8 @@ import numpy as np
 # a numpy scalar would run numpy scalar arithmetic.
 _BRENTQ_RTOL = 4 * sys.float_info.epsilon
 _BRENTQ_MAXITER = 100
-DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_RCUT_FACTOR = 1e3
+QUAD_TOL = 1e-10  # absolute and relative tolerance of every slice quadrature
+RCUT_FACTOR = 1e3  # a slice's anchor time runs out to r_cut = RCUT_FACTOR max(r_h, l_ads)
 _POLE_BAND = 1e-9  # relative half-width of the band about r_h where the pole subtraction cancels to noise
 
 
@@ -328,12 +328,7 @@ def _integrate(name: str, fn, a: float, b: float, tol: float, points=None) -> fl
     return value
 
 
-def interior_volume(
-    spec: BlackHoleSpec,
-    E: float,
-    r_cut: float | None = None,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> VolumeCurvePoint:
+def interior_volume(spec: BlackHoleSpec, E: float) -> VolumeCurvePoint:
     """Maximal-volume slice through the interior at conserved energy E.
 
     The turning radius is the largest root of E^2 + P(r), P(r) =
@@ -351,32 +346,28 @@ def interior_volume(
     most sqrt(r_h - r_turn), is the width of the peak of 1/sqrt(g) there,
     narrow near criticality and flat in w.  The volume integrand is
     4 a cosh(w) r^(2(d-2)) / sqrt(g).  The boundary anchor time
-    integrates dt/dr = E / (f sqrt(x g(x))) from r_turn out to r_cut,
-    three decades away, across the simple pole at the horizon as a
-    principal value: the quadrature takes dt/dr minus the pole
-    1/(f'(r_h) (r - r_h)), times dr/dw = 2 a^2 sinh(w) cosh(w), which is
-    regular at the horizon and tends to -2/f'(r_h) far out, where w grows
-    like ln(r)/2; the pole's principal value
-    ln((r_cut - r_h) / (r_h - r_turn)) / f'(r_h) is added in closed
+    integrates dt/dr = E / (f sqrt(x g(x))) from r_turn out to
+    r_cut = RCUT_FACTOR max(r_h, l_ads), three decades away, across the
+    simple pole at the horizon as a principal value: the quadrature takes
+    dt/dr minus the pole 1/(f'(r_h) (r - r_h)), times dr/dw =
+    2 a^2 sinh(w) cosh(w), which is regular at the horizon and tends to
+    -2/f'(r_h) far out, where w grows like ln(r)/2; the pole's principal
+    value ln((r_cut - r_h) / (r_h - r_turn)) / f'(r_h) is added in closed
     form.  Of the two geodesic branches through the turning point the one
     reaching the boundary at positive anchor time is reported, and the
     symmetric two-sided configuration makes boundary_time_sum = 2 t_r.
 
     Both integrals are checked: a quadrature that reports a failure, or
-    whose error estimate exceeds max(tol, tol |result|), raises ValueError.
-    So does a turning point within 1e-6 r_h of the horizon, where the band
-    about r_h in which dt/dr minus its pole is taken at its limit would not
-    be small against r_h - r_turn.
+    whose error estimate exceeds max(QUAD_TOL, QUAD_TOL |result|), raises
+    ValueError.  So does a turning point within 1e-6 r_h of the horizon,
+    where the band about r_h in which dt/dr minus its pole is taken at its
+    limit would not be small against r_h - r_turn.
     """
     E = float(E)  # a numpy scalar would make every integrand numpy arithmetic
     e_c = spec.e_c
     if not 0 <= E < e_c:
         raise ValueError(f"need 0 <= E < E_c = {e_c:.6g}, got E = {E}")
     r_h = spec.r_h
-    if r_cut is None:
-        r_cut = DEFAULT_RCUT_FACTOR * max(r_h, spec.l_ads)
-    if r_cut <= r_h:
-        raise ValueError(f"r_cut must exceed the horizon radius {r_h:.6g}")
     if E == 0:
         return VolumeCurvePoint(0.0, r_h, 0.0, 0.0)
 
@@ -412,7 +403,7 @@ def interior_volume(
         return 4.0 * a * math.cosh(w) * (r_turn + x) ** two_dm2 / math.sqrt(g(x))
 
     w_h = math.asinh(math.sqrt(x_h / a2))
-    volume = _integrate("volume", vol_integrand, 0.0, w_h, tol)
+    volume = _integrate("volume", vol_integrand, 0.0, w_h, QUAD_TOL)
 
     fp_h = blackening_derivative(spec, r_h)
     fpp_h = _blackening_second(spec, r_h)
@@ -427,9 +418,10 @@ def interior_volume(
             return pole_limit * 2.0 * a2 * s * c
         return 2.0 * a * c * (E / (f(r) * math.sqrt(g(x))) - a * s / (fp_h * (r - r_h)))
 
+    r_cut = RCUT_FACTOR * max(r_h, l_ads)
     w_cut = math.asinh(math.sqrt((r_cut - r_turn) / a2))
     t_r = -(
-        _integrate("anchor-time", time_integrand, 0.0, w_cut, tol, points=[w_h])
+        _integrate("anchor-time", time_integrand, 0.0, w_cut, QUAD_TOL, points=[w_h])
         + math.log((r_cut - r_h) / x_h) / fp_h
     )
     return VolumeCurvePoint(E, r_turn, volume, 2.0 * t_r)
@@ -461,7 +453,6 @@ def volume_curve(
 @dataclass(frozen=True)
 class CVRate:
     dC_dt: float
-    S_times_T: float
     ratio: float
 
 
@@ -473,8 +464,7 @@ def cv_rate(spec: BlackHoleSpec) -> CVRate:
     """
     _, v_d = critical_surface(spec)
     rate = v_d / (spec.l_ads * spec.G)
-    st = spec.entropy * spec.temperature
-    return CVRate(rate, st, rate / st)
+    return CVRate(rate, rate / (spec.entropy * spec.temperature))
 
 
 def rindler_rate(spec: BlackHoleSpec) -> float:
@@ -517,7 +507,6 @@ def wdw_action_rate(spec: BlackHoleSpec) -> ActionRate:
 @dataclass(frozen=True)
 class LloydReport:
     bound: float
-    cA_rate: float
     saturation: float
 
 
@@ -528,4 +517,4 @@ def lloyd_bound(spec: BlackHoleSpec, hbar: float = 1.0) -> LloydReport:
         raise ValueError("hbar must be positive")
     bound = 2 * spec.mass / (math.pi * hbar)
     rate = wdw_action_rate(spec).total / (math.pi * hbar)
-    return LloydReport(bound, rate, rate / bound)
+    return LloydReport(bound, rate / bound)

@@ -249,18 +249,18 @@ def normalized_trace_product(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.einsum("ij,ji->", A, B) / A.shape[0])
 
 
-def require_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
-    if np.max(np.abs(H - H.conj().T)) > tol:
+    if np.max(np.abs(H - H.conj().T)) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return H
 
 
-def is_unitary(U: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(U: np.ndarray) -> bool:
     U = np.asarray(U)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         return False
-    return bool(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= tol)
+    return bool(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= UNITARITY_TOL)
 
 
 def evolve(H, t: float) -> np.ndarray:

@@ -40,7 +40,6 @@ class EpidemicTrajectory:
     mean_infected: np.ndarray
     std_error: np.ndarray
     trials: int
-    seed: int
 
     def steps(self) -> list[tuple[int, float, float]]:
         return list(zip(self.taus.tolist(), self.mean_infected.tolist(), self.std_error.tolist()))
@@ -152,7 +151,7 @@ def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> Epidemi
     mean = sums[:, 0] / trials
     var = np.maximum(sums[:, 1] / trials - mean**2, 0.0)
     stderr = np.sqrt(var / trials)
-    return EpidemicTrajectory(K, np.arange(max_steps + 1), mean, stderr, trials, seed)
+    return EpidemicTrajectory(K, np.arange(max_steps + 1), mean, stderr, trials)
 
 
 def scrambling_time(K: int) -> float:

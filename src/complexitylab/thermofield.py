@@ -46,10 +46,6 @@ class DensityMatrix:
         lam.flags.writeable = False
         object.__setattr__(self, "_eigenvalues", lam)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         return self._eigenvalues
 
@@ -88,7 +84,6 @@ class TFDState:
     """Purification sum_i e^(-beta E_i / 2) / sqrt(Z) |E_i>|E_i> of a thermal state."""
 
     spectrum: tuple[float, ...]
-    beta: float
     amplitudes: np.ndarray
     dims: tuple[int, int]
 
@@ -108,7 +103,7 @@ def tfd(spectrum, beta: float) -> TFDState:
     spectrum = np.asarray(spectrum, dtype=float)
     amps = np.sqrt(_boltzmann_weights(spectrum, beta))
     n = len(spectrum)
-    return TFDState(tuple(spectrum.tolist()), beta, amps, (n, n))
+    return TFDState(tuple(spectrum.tolist()), amps, (n, n))
 
 
 def _product_dims(size: int, dims: tuple[int, int] | None) -> tuple[int, int]:
@@ -124,26 +119,21 @@ def _product_dims(size: int, dims: tuple[int, int] | None) -> tuple[int, int]:
 
 
 def partial_trace(state, side: str = "right", dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """Reduced density matrix of one factor of a product space.
+    """Reduced density matrix of one factor of a pure state on a product space.
 
-    ``state`` may be a TFDState, a pure state vector, a DensityMatrix or
-    a raw square matrix; ``side`` names the factor that is KEPT.
+    ``state`` is a TFDState or a pure state vector; ``side`` names the
+    factor that is KEPT.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if isinstance(state, TFDState):
-        return partial_trace(state.vector(), side, state.dims)
-    if isinstance(state, DensityMatrix):
-        state = state.entries
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        dl, dr = _product_dims(state.size, dims)
-        A = state.reshape(dl, dr)
-        rho = A @ A.conj().T if side == "left" else A.T @ A.conj()
-        return DensityMatrix(rho)
-    dl, dr = _product_dims(state.shape[0], dims)
-    blocks = state.reshape(dl, dr, dl, dr)
-    rho = np.einsum("ajbj->ab", blocks) if side == "left" else np.einsum("iaib->ab", blocks)
+        state, dims = state.vector(), state.dims
+    psi = np.asarray(state)
+    if psi.ndim != 1:
+        raise ValueError(f"expected a TFDState or a pure state vector, got an array of shape {psi.shape}")
+    dl, dr = _product_dims(psi.size, dims)
+    A = psi.astype(complex, copy=False).reshape(dl, dr)
+    rho = A @ A.conj().T if side == "left" else A.T @ A.conj()
     return DensityMatrix(rho)
 
 

@@ -198,6 +198,15 @@ def _write_target(path, U):
     path.write_text(_target_text(U))
 
 
+def test_bfs_target_beyond_max_depth_is_not_found(tmp_path):
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    _write_target(tmp_path / "swap.csv", swap)  # Clifford depth 3
+    assert main(["bfs", "--max-depth", "2", "--target", str(tmp_path / "swap.csv"), "--outdir", str(tmp_path)]) == 0
+    summary = read(tmp_path / "bfs_summary.txt").decode()
+    assert "reached: 50\nsaturated: False\ntruncated: False\ntarget_depth: not-found\n" in summary
+    assert read(tmp_path / "bfs.csv") == b"depth,count\n0,1\n1,8\n2,41\n"
+
+
 def test_bfs_random_stops_at_the_element_cap(tmp_path, monkeypatch):
     # layers 1, 8, 56, 392, 2744: the cap of 3000 falls within depth 4
     monkeypatch.setattr(cli, "BFS_MAX_ELEMENTS", 3000)

@@ -141,15 +141,15 @@ def test_partial_trace_product_state():
     assert np.allclose(rho_r.entries, np.outer(b, b.conj()))
 
 
-def test_partial_trace_matrix_agrees_with_vector_path():
+def test_partial_trace_refuses_a_matrix():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
     psi /= np.linalg.norm(psi)
     rho_full = np.outer(psi, psi.conj())
-    for side in ("left", "right"):
-        via_vec = partial_trace(psi, side=side, dims=(3, 4))
-        via_mat = partial_trace(rho_full, side=side, dims=(3, 4))
-        assert np.max(np.abs(via_vec.entries - via_mat.entries)) < 1e-12
+    for state in (rho_full, DensityMatrix(rho_full)):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError, match="TFDState or a pure state vector"):
+                partial_trace(state, side=side, dims=(3, 4))
 
 
 def test_partial_trace_dim_mismatch():
