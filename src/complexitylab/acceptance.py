@@ -141,6 +141,13 @@ def check_epidemic_logistic() -> str:
 def check_curvature_ensemble() -> str:
     """Sign, null point and 1/K scaling of the sectional curvature."""
     start = time.perf_counter()
+    # exact reference: the Pauli-space commutator norm of one pair against ||H D - D H||_F^2 / dim
+    hk, dk = sample_orthogonal_pair(4, seed=7)
+    table = geometry.CommutatorTable(4, (hk.x, hk.z), (dk.x, dk.z))
+    H, D = hk.dense(), dk.dense()
+    exact = float(np.linalg.norm(H @ D - D @ H) ** 2) / hk.dim
+    pair_err = abs(table.commutator_norm_sq(hk.couplings, dk.couplings) - exact) / exact
+    assert pair_err < 1e-12, f"K=4 commutator norm off ||[H, D]||_F^2 / dim by {pair_err:.1e} (relative)"
     flat = curvature_ensemble(6, PenaltySchedule(2, 1.0 / 3.0), trials=40, seed=5)
     assert abs(flat.mean) <= 3 * flat.stderr + 1e-15, (
         f"mean {flat.mean:.3e} not within 3 stderr ({flat.stderr:.3e}) of 0 at I(3)=4/3"
@@ -156,7 +163,10 @@ def check_curvature_ensemble() -> str:
     elapsed = time.perf_counter() - start
     assert -1.3 <= slope <= -0.7, f"trace-ratio log-log slope {slope:.3f} outside [-1.3, -0.7]"
     assert elapsed < 60.0, f"runtime {elapsed:.1f} s >= 60 s"
-    return f"null mean = {flat.mean:.1e}, negative at {-neg.mean / neg.stderr:.0f} sigma, slope = {slope:.2f}"
+    return (
+        f"null mean = {flat.mean:.1e}, negative at {-neg.mean / neg.stderr:.0f} sigma, slope = {slope:.2f}, "
+        f"K=4 pair vs dense = {pair_err:.1e}"
+    )
 
 
 def _loschmidt_error(H, D, t, dtheta) -> float:

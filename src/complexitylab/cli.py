@@ -26,6 +26,7 @@ import numpy as np
 from . import acceptance, counting, holography, scrambling
 from . import thermofield as tfd
 from .gates import (
+    MIN_EPSILON,
     cnot_pair_gateset,
     random_inverse_closed_gateset,
     sphere_growth,
@@ -80,6 +81,8 @@ def _parse_spectrum(text: str) -> np.ndarray:
         _usage_error("--spectrum: no energy levels given")
     if not all(map(math.isfinite, values)):
         _usage_error(f"--spectrum: energy levels must be finite, got {text!r}")
+    if not math.isfinite(max(values) - min(values)):
+        _usage_error(f"--spectrum: the spread of the energy levels overflows, got {text!r}")
     return np.asarray(values)
 
 
@@ -333,6 +336,7 @@ positive_int = _checked("positive_int", lambda v: v >= 1, int)
 nonnegative_int = _checked("nonnegative_int", lambda v: v >= 0, int)
 bulk_dim = _checked("bulk_dim", lambda v: v >= 4, int)
 positive = _checked("positive", lambda v: v > 0)
+resolution = _checked("resolution", lambda v: v >= MIN_EPSILON)
 unit_interval = _checked("unit_interval", lambda v: 0 < v <= 1)
 nonnegative_or_inf = _checked("nonnegative_or_inf", lambda v: v >= 0, finite_or_inf)
 
@@ -378,7 +382,7 @@ COMMANDS = {
         (
             Option("--gateset", str, "clifford2", "gate set", ("cnot", "clifford2", "random")),
             Option("--max-depth", nonnegative_int, 12, "BFS depth cap"),
-            Option("--epsilon", positive, 1e-6, "dedup resolution"),
+            Option("--epsilon", resolution, 1e-6, f"dedup resolution >= {MIN_EPSILON:g}"),
             Option("--pairs", positive_int, 4, "Haar gate pairs for --gateset random"),
             Option("--target", str, None, "CSV file of the target matrix, rows of re,im pairs"),
         ),

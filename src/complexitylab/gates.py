@@ -28,6 +28,10 @@ import numpy as np
 from .paulis import is_unitary
 
 DEFAULT_EPSILON = 1e-6
+# The finest resolution: key grids much finer than the rounding error of a
+# product of gates split one unitary into many keys (at 1e-15 the Clifford
+# group's 11,520 elements gave 68,454 keys; 1e-14 still gave 11,520).
+MIN_EPSILON = 1e-12
 # Frontier rows multiplied at once.  With one row a block, numpy's per-call
 # overhead is most of the growth time, so the growth rate follows the
 # host's speed as interpreter-bound code does, and stays within a few
@@ -83,8 +87,8 @@ class GateSet:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not MIN_EPSILON <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and >= {MIN_EPSILON}, got {self.epsilon}")
         if not self.gates:
             raise ValueError("gate set is empty")
         dim = 1 << self.K

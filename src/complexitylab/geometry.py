@@ -24,10 +24,10 @@ from .paulis import (
     CommutatorTable,
     KLocalHamiltonian,
     _sum_of_squares,
-    enumerate_strings,
     evolve,
     gaussian_couplings,
     normalized_trace_product,
+    pauli_masks,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -53,7 +53,10 @@ def penalty(weight: int, schedule: PenaltySchedule) -> float:
         raise ValueError(f"weight must be >= 1, got {weight}")
     if weight <= schedule.k:
         return 1.0
-    return schedule.c * 4.0 ** (weight - schedule.k)
+    value = schedule.c * 4.0 ** (weight - schedule.k)
+    if math.isinf(value):
+        raise OverflowError(f"penalty I({weight}) = c 4^({weight} - k) overflows at c = {schedule.c}, k = {schedule.k}")
+    return value
 
 
 def geodesic_residual_path(
@@ -104,8 +107,8 @@ def loschmidt(H: np.ndarray, Delta: np.ndarray, t: float, dtheta: float) -> np.n
 
 def _trace_ratio(table: CommutatorTable, h: np.ndarray, d: np.ndarray) -> float:
     """2 Tr([H,D][D,H]) / (Tr D^2 Tr H^2) for couplings h and d over the
-    table's terms.  The norms come from the one left-to-right sum that
-    KLocalHamiltonian.coupling_norm_sq uses, so they agree bit for bit."""
+    table's terms.  The norms are left-to-right sums of squares, the same
+    bits on every Python."""
     return 2.0 * table.commutator_norm_sq(h, d) / (_sum_of_squares(h) * _sum_of_squares(d))
 
 
@@ -120,9 +123,9 @@ def _orthogonal_couplings(K: int, n: int, seed: int, draw: int) -> tuple[np.ndar
 
 def sample_orthogonal_pair(K: int, seed: int, draw: int = 0) -> tuple[KLocalHamiltonian, KLocalHamiltonian]:
     """Two exactly 2-local Gaussian Hamiltonians with Tr(H Delta) = 0."""
-    strings = enumerate_strings(K, 2, exactly_local=True)
-    h, d = _orthogonal_couplings(K, len(strings), seed, draw)
-    return tuple(KLocalHamiltonian(K, 2, dict(zip(strings, j.tolist()))) for j in (h, d))
+    x, z = pauli_masks(K, 2, exactly_local=True)
+    h, d = _orthogonal_couplings(K, len(x), seed, draw)
+    return tuple(KLocalHamiltonian(K, 2, x, z, j) for j in (h, d))
 
 
 @dataclass(frozen=True)
@@ -148,28 +151,35 @@ def curvature_ensemble(
     of (1/3 - I(3)/4).
 
     The pairs are those of ``sample_orthogonal_pair``, drawn as coupling
-    vectors in the term order of ``enumerate_strings``, so one
-    ``CommutatorTable`` serves all trials.
+    vectors over the masks of ``pauli_masks``, so one ``CommutatorTable``
+    serves all trials.
     """
     if K < 4 or K % 2:
         raise ValueError(f"K must be even and >= 4, got {K}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
-    strings = enumerate_strings(K, 2, exactly_local=True)
-    table = CommutatorTable(strings, strings)
+    masks = pauli_masks(K, 2, exactly_local=True)
+    table = CommutatorTable(K, masks, masks)
     ratios = np.empty(trials)
     for i in range(trials):
-        ratios[i] = _trace_ratio(table, *_orthogonal_couplings(K, len(strings), seed, i))
-    curvatures = prefactor * ratios
+        ratios[i] = _trace_ratio(table, *_orthogonal_couplings(K, table.shape[0], seed, i))
 
     def stderr(x: np.ndarray) -> float:
         # one sample cannot bound its error
         return float(x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
 
-    return CurvatureEnsemble(
-        mean=float(curvatures.mean()),
-        stderr=stderr(curvatures),
-        trace_ratio_mean=float(ratios.mean()),
-        trace_ratio_stderr=stderr(ratios),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
+        curvatures = prefactor * ratios
+        result = CurvatureEnsemble(
+            mean=float(curvatures.mean()),
+            stderr=stderr(curvatures),
+            trace_ratio_mean=float(ratios.mean()),
+            trace_ratio_stderr=stderr(ratios),
+        )
+    if not math.isfinite(result.mean) or (trials > 1 and not math.isfinite(result.stderr)):
+        raise OverflowError(
+            f"the mean curvature over {trials} trials or its stderr overflows at I(3) = {penalty(3, schedule)}: "
+            f"mean_R {result.mean}, stderr {result.stderr}"
+        )
+    return result

@@ -1,12 +1,12 @@
 """Pauli strings and dense complex linear algebra for K-qubit systems.
 
 Pauli strings, k-local Hamiltonians with Gaussian ensembles, normalized
-traces and Hamiltonian time evolution.  Each Pauli string carries its
-symplectic form: an X mask, a Z mask and the Y count (a Y sets both
-bits).  Products and commutators of Pauli sums are computed on these
-masks without any matrix; matrices, where needed, are dense numpy
-arrays.  The qubit count is capped at MAX_QUBITS = 10 (dimension 1024),
-which is plenty for desk-scale experiments.
+traces and Hamiltonian time evolution.  A list of Pauli strings is a pair
+of int64 arrays, the X and Z masks (a Y sets both bits), and products
+and commutators of Pauli sums are computed on these masks without any
+matrix; matrices, where needed, are dense numpy arrays.  The qubit count
+is capped at MAX_QUBITS = 10 (dimension 1024), which is plenty for
+desk-scale experiments.
 
 Conventions:
   * qubit 0 is the leftmost letter of a string and the most significant
@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,109 +30,67 @@ HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, order=True)
-class PauliString:
-    """A word over {I, X, Y, Z}, one letter per qubit.
-
-    ``x`` has a bit set for every X or Y letter and ``z`` for every Y or Z
-    letter, qubit 0 as the most significant bit.
-    """
-
-    letters: str
-    x: int = field(init=False, repr=False, compare=False)
-    z: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("empty Pauli string")
-        bad = set(self.letters) - set("IXYZ")
-        if bad:
-            raise ValueError(f"invalid Pauli letters {sorted(bad)!r}")
-        if len(self.letters) > MAX_QUBITS:
-            raise ValueError(f"more than {MAX_QUBITS} qubits")
-        x = z = 0
-        for ch in self.letters:
-            x = (x << 1) | (ch in "XY")
-            z = (z << 1) | (ch in "YZ")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.letters)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity single-qubit factors."""
-        return (self.x | self.z).bit_count()
-
-    @property
-    def num_y(self) -> int:
-        """Number of Y factors."""
-        return (self.x & self.z).bit_count()
-
-    def __str__(self) -> str:
-        return self.letters
-
-
-def enumerate_strings(K: int, k: int, exactly_local: bool = False) -> list[PauliString]:
-    """All nontrivial Pauli strings on K qubits with weight <= k.
+def pauli_masks(K: int, k: int, exactly_local: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z masks of all nontrivial Pauli strings on K qubits with weight <= k.
 
     With ``exactly_local`` only weight-k strings are produced.  The
     all-identity string is never included.  Order is deterministic:
-    increasing weight, then positions, then letters.
+    increasing weight, then positions, then letters X < Y < Z.  The two
+    int64 arrays are cached and read-only.
     """
     if not 1 <= k <= K:
         raise ValueError(f"need 1 <= k <= K, got k={k}, K={K}")
     if K > MAX_QUBITS:
         raise ValueError(f"K={K} exceeds the cap of {MAX_QUBITS} qubits")
-    return list(_strings(K, k, bool(exactly_local)))
+    return _masks(K, k, bool(exactly_local))
 
 
 @functools.cache
-def _strings(K: int, k: int, exactly_local: bool) -> tuple[PauliString, ...]:
+def _masks(K: int, k: int, exactly_local: bool) -> tuple[np.ndarray, np.ndarray]:
     weights = [k] if exactly_local else range(1, k + 1)
-    out = []
+    x, z = [], []
     for w in weights:
         for pos in itertools.combinations(range(K), w):
             for letters in itertools.product("XYZ", repeat=w):
-                word = ["I"] * K
-                for q, ch in zip(pos, letters):
-                    word[q] = ch
-                out.append(PauliString("".join(word)))
-    return tuple(out)
+                x.append(sum(1 << (K - 1 - q) for q, ch in zip(pos, letters) if ch != "Z"))
+                z.append(sum(1 << (K - 1 - q) for q, ch in zip(pos, letters) if ch != "X"))
+    masks = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
+    for m in masks:
+        m.setflags(write=False)
+    return masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLocalHamiltonian:
-    """H = sum_I J_I sigma_I with every term of weight between 1 and k."""
+    """H = sum_I J_I sigma_I with every term of weight between 1 and k.
+
+    Term I has X mask ``x[I]``, Z mask ``z[I]`` (int64 arrays) and
+    coupling ``couplings[I]`` (a float array).
+    """
 
     K: int
     k: int
-    terms: dict[PauliString, float]
+    x: np.ndarray
+    z: np.ndarray
+    couplings: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.k <= self.K:
             raise ValueError(f"need 1 <= k <= K, got k={self.k}, K={self.K}")
         if self.K > MAX_QUBITS:
             raise ValueError(f"K={self.K} exceeds the cap of {MAX_QUBITS} qubits")
-        for p in self.terms:
-            if p.num_qubits != self.K:
-                raise ValueError(f"term {p} does not act on {self.K} qubits")
-            if not 1 <= p.weight <= self.k:
-                raise ValueError(f"term {p} has weight {p.weight}, allowed 1..{self.k}")
+        if not len(self.x) == len(self.z) == len(self.couplings):
+            raise ValueError("the X masks, Z masks and couplings differ in number")
+        support = self.x | self.z
+        if (support >> self.K).any():
+            raise ValueError(f"a term does not act on {self.K} qubits")
+        weight = np.bitwise_count(support)
+        if not ((1 <= weight) & (weight <= self.k)).all():
+            raise ValueError(f"term weights {sorted(set(weight.tolist()))} leave 1..{self.k}")
 
     @property
     def dim(self) -> int:
         return 1 << self.K
-
-    def couplings(self) -> np.ndarray:
-        """Coupling vector in the deterministic order of the stored terms."""
-        return np.array([float(j) for j in self.terms.values()])
-
-    def coupling_norm_sq(self) -> float:
-        """sum_I J_I^2, which equals the normalized trace of H^2."""
-        return _sum_of_squares(self.couplings())
 
     def dense(self) -> np.ndarray:
         """Assemble the dense matrix.
@@ -145,9 +102,9 @@ class KLocalHamiltonian:
         dim = self.dim
         cols = np.arange(dim)
         H = np.zeros((dim, dim), dtype=complex)
-        for p, J in self.terms.items():
-            phase = (1j) ** p.num_y * (-1.0) ** np.bitwise_count(cols & p.z)
-            H[cols ^ p.x, cols] += J * phase
+        for x, z, J in zip(self.x.tolist(), self.z.tolist(), self.couplings.tolist()):
+            phase = (1j) ** (x & z).bit_count() * (-1.0) ** np.bitwise_count(cols & z)
+            H[cols ^ x, cols] += J * phase
         return H
 
 
@@ -157,23 +114,16 @@ def _sum_of_squares(x: np.ndarray) -> float:
     return float(np.add.accumulate(x * x)[-1]) if len(x) else 0.0
 
 
-def _symplectic(strings: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X masks, Z masks and Y counts of ``strings`` as int64 arrays."""
-    x = np.array([p.x for p in strings], dtype=np.int64)
-    z = np.array([p.z for p in strings], dtype=np.int64)
-    return x, z, np.bitwise_count(x & z).astype(np.int64)
-
-
 class CommutatorTable:
     """The anticommuting term pairs of two Pauli sums, for their commutator.
 
-    For H = sum_a h_a sigma_a over ``left`` and D = sum_b d_b sigma_b over
-    ``right``, a pair contributes to [H, D] only if its strings
-    anticommute, i.e. |x_a & z_b| + |z_a & x_b| is odd, and then as
-    2 h_a d_b sigma_a sigma_b = 2 h_a d_b i^e sigma_c with c = a xor b and
-    e = y_a + y_b - y_c + 2 |z_a & x_b| (mod 4).  The product of two
-    anticommuting Hermitian strings is anti-Hermitian, so e is 1 or 3 and
-    i^e = i s with the sign s = +1 or -1.
+    For H = sum_a h_a sigma_a over the K-qubit masks ``left`` = (xa, za)
+    and D = sum_b d_b sigma_b over ``right`` = (xb, zb), a pair contributes
+    to [H, D] only if its strings anticommute, i.e. |x_a & z_b| + |z_a & x_b|
+    is odd, and then as 2 h_a d_b sigma_a sigma_b = 2 h_a d_b i^e sigma_c
+    with c = a xor b and e = y_a + y_b - y_c + 2 |z_a & x_b| (mod 4), y = |x & z|
+    counting Ys.  The product of two anticommuting Hermitian strings is
+    anti-Hermitian, so e is 1 or 3 and i^e = i s with the sign s = +1 or -1.
 
     The table depends only on the two term lists, so one table serves
     every pair of coupling vectors over them.  The pairs are stored in
@@ -182,21 +132,21 @@ class CommutatorTable:
     [d, -d], and ``product`` numbers the distinct product strings c.
     """
 
-    def __init__(self, left: Sequence[PauliString], right: Sequence[PauliString]):
-        widths = {p.num_qubits for p in (*left, *right)}
-        if len(widths) != 1:
-            raise ValueError(f"terms must all act on one qubit count, got {sorted(widths)}")
-        (K,) = widths
-        self.shape = (len(left), len(right))
-        xa, za, ya = _symplectic(left)
-        xb, zb, yb = _symplectic(right)
+    def __init__(self, K: int, left: tuple[np.ndarray, np.ndarray], right: tuple[np.ndarray, np.ndarray]):
+        (xa, za), (xb, zb) = left, right
+        if len(xa) != len(za) or len(xb) != len(zb):
+            raise ValueError("the X and Z masks of a term list differ in length")
+        if any((m >> K).any() for m in (xa, za, xb, zb)):  # the product keys below would collide
+            raise ValueError(f"a mask has a bit at or above K = {K}")
+        self.shape = (len(xa), len(xb))
+        ya, yb = (np.bitwise_count(x & z).astype(np.int64) for x, z in ((xa, za), (xb, zb)))
         twist = np.bitwise_count(za[:, None] & xb).astype(np.int64)
         odd = (np.bitwise_count(xa[:, None] & zb) + twist) & 1
         a, b = np.nonzero(odd)  # row-major, so in left-term order
         xc, zc = xa[a] ^ xb[b], za[a] ^ zb[b]
         e = (ya[a] + yb[b] - np.bitwise_count(xc & zc) + 2 * twist[a, b]) % 4
-        self._repeats = np.bincount(a, minlength=len(left))
-        self._signed_right = np.where(e == 1, b, b + len(right))
+        self._repeats = np.bincount(a, minlength=len(xa))
+        self._signed_right = np.where(e == 1, b, b + len(xb))
         keys, self.product = np.unique((xc << K) | zc, return_inverse=True)
         self.num_products = len(keys)
 
@@ -235,9 +185,9 @@ def sample_klocal(
 ) -> KLocalHamiltonian:
     """A Gaussian k-local Hamiltonian: every admissible string gets a coupling
     from ``gaussian_couplings``, so the mean of sum_I J_I^2 is ``target_energy_variance``."""
-    strings = enumerate_strings(K, k, exactly_local)
-    J = gaussian_couplings(len(strings), target_energy_variance, seed, draw)
-    return KLocalHamiltonian(K, k, dict(zip(strings, J.tolist())))
+    x, z = pauli_masks(K, k, exactly_local)
+    J = gaussian_couplings(len(x), target_energy_variance, seed, draw)
+    return KLocalHamiltonian(K, k, x, z, J)
 
 
 def normalized_trace_product(A: np.ndarray, B: np.ndarray) -> complex:

@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from complexitylab import acceptance, cli, gates, holography, scrambling
+from complexitylab import acceptance, cli, gates, geometry, holography, scrambling
 from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
+from complexitylab.paulis import CommutatorTable
 
 
 def read(path):
@@ -444,6 +445,9 @@ BFS_CNOT = ["bfs", "--gateset", "cnot", "--max-depth", "2"]
         (BFS_CNOT, _target_text(2 * np.eye(4))),  # not unitary
         (BFS_CNOT, _target_text(np.full((4, 4), np.nan))),
         (BFS_CNOT, _target_text(np.diag([1, 1, 1, np.inf]))),
+        # finite levels whose spread overflows, with and without the Boltzmann exponent
+        (["tfd", "--spectrum", "1e308,-1e308"], None),
+        (["tfd", "--beta", "0", "--spectrum", "1e308,-1e308"], None),
     ],
 )
 def test_bad_spectrum_or_target_exits_2(tmp_path, capsys, argv, target):
@@ -540,6 +544,15 @@ def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
         (["wdw", "--dim", "6", "--mu", "1e-270"], "root find did not converge in 100 iterations on the bracket [1e-102, 1e-90]\n"),
         # r_m^(2(d-2)) in the critical energy overflows a float
         (["wormhole", "--dim", "7", "--mu", "1e200"], "(34, 'Numerical result out of range')\n"),
+        # every R finite, their sum and their squared deviations not
+        (
+            ["curvature", "--penalty-c", "1e307", "--trials", "100", "--qubits", "4"],
+            "the mean curvature over 100 trials or its stderr overflows at I(3) = 4e+307: mean_R -inf, stderr inf\n",
+        ),
+        (
+            ["curvature", "--penalty-c", "1e308", "--penalty-k", "1", "--qubits", "4", "--trials", "3"],
+            "penalty I(3) = c 4^(3 - k) overflows at c = 1e+308, k = 1\n",
+        ),
     ],
 )
 def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, capsys):
@@ -564,6 +577,7 @@ def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, 
         # float options and --dim: range-checked by their types alike
         ("bfs", "--epsilon", "-1"),
         ("bfs", "--epsilon", "0"),
+        ("bfs", "--epsilon", "1e-15"),  # below gates.MIN_EPSILON, where one unitary splits into many keys
         ("counting", "--epsilon", "2"),
         ("tfd", "--beta", "-1"),
         ("wdw", "--hbar", "0"),
@@ -644,6 +658,32 @@ def test_paper_suite_fails_on_a_biased_epidemic_law(tmp_path, monkeypatch):
     assert main(["paper-suite", "--outdir", str(tmp_path)]) == 1
     rows = read(tmp_path / "paper_suite.csv").decode().splitlines()
     assert rows[1].startswith("epidemic-logistic,FAIL,K=10 one-step law off the pairing tally by ")
+
+
+class SignDroppedTable(CommutatorTable):
+    """Every pair counted with i^e = +i."""
+
+    def __init__(self, K, left, right):
+        super().__init__(K, left, right)
+        self._signed_right = self._signed_right % self.shape[1]
+
+
+class ProductsApartTable(CommutatorTable):
+    """Every pair its own product string, so no two pairs interfere."""
+
+    def __init__(self, K, left, right):
+        super().__init__(K, left, right)
+        self.product = np.arange(len(self))
+        self.num_products = len(self)
+
+
+@pytest.mark.parametrize("table", [SignDroppedTable, ProductsApartTable])
+def test_paper_suite_fails_on_a_broken_commutator_table(table, tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "CommutatorTable", table)
+    monkeypatch.setattr(acceptance, "CHECKS", [c for c in acceptance.CHECKS if c[0] == "curvature-ensemble"])
+    assert main(["paper-suite", "--outdir", str(tmp_path)]) == 1
+    rows = read(tmp_path / "paper_suite.csv").decode().splitlines()
+    assert rows[1].startswith("curvature-ensemble,FAIL,K=4 commutator norm off ||[H; D]||_F^2 / dim by ")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

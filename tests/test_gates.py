@@ -181,10 +181,15 @@ def test_sphere_growth_skips_a_layer_that_could_pass_the_cap():
     assert ball.size == 457
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan"), float("inf")])
+@pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan"), float("inf"), 1e-15, gates.MIN_EPSILON / 1.01])
 def test_gateset_rejects_a_bad_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         cnot_pair_gateset(epsilon)
+
+
+def test_the_finest_epsilon_keeps_the_clifford_group_whole():
+    ball = sphere_growth(two_qubit_clifford_gateset(gates.MIN_EPSILON), max_depth=20)
+    assert ball.saturated and ball.size == 11520
 
 
 def test_ball_repr_is_short(clifford_ball):

@@ -24,19 +24,19 @@ from complexitylab.geometry import (
 from complexitylab.paulis import (
     CommutatorTable,
     KLocalHamiltonian,
-    PauliString,
-    enumerate_strings,
+    _sum_of_squares,
     normalized_trace_product,
+    pauli_masks,
     sample_klocal,
 )
 
-from kronecker import kron_sum
+from kronecker import encode, hamiltonian, kron_sum, terms
 
 K2_SCHEDULE = PenaltySchedule(k=2, c=1.0)
 
 
 def _check_two_local(ham: KLocalHamiltonian, name: str) -> None:
-    if any(p.weight != 2 for p in ham.terms):
+    if (np.bitwise_count(ham.x | ham.z) != 2).any():
         raise ValueError(f"{name} must be exactly 2-local")
 
 
@@ -46,16 +46,16 @@ def sectional_curvature(H: KLocalHamiltonian, Delta: KLocalHamiltonian, schedule
     / (Tr Delta^2 Tr H^2), over a commutator table of the pair's own terms."""
     _check_two_local(H, "H")
     _check_two_local(Delta, "Delta")
-    hh = H.coupling_norm_sq()
-    dd = Delta.coupling_norm_sq()
+    hh = _sum_of_squares(H.couplings)
+    dd = _sum_of_squares(Delta.couplings)
     if hh == 0 or dd == 0:
         raise ValueError("zero-norm input")
-    overlap = sum(j * Delta.terms.get(p, 0.0) for p, j in H.terms.items())
+    overlap = sum(j * terms(Delta).get(p, 0.0) for p, j in terms(H).items())
     if abs(overlap) > ORTHOGONALITY_TOL * max(1.0, math.sqrt(hh * dd)):
         raise ValueError(f"Delta is not trace-orthogonal to H: Tr(H Delta) = {overlap}")
-    table = CommutatorTable(list(H.terms), list(Delta.terms))
+    table = CommutatorTable(H.K, (H.x, H.z), (Delta.x, Delta.z))
     prefactor = 1.0 / 3.0 - penalty(3, schedule) / 4.0
-    return prefactor * _trace_ratio(table, H.couplings(), Delta.couplings())
+    return prefactor * _trace_ratio(table, H.couplings, Delta.couplings)
 
 
 def test_penalty_values():
@@ -101,8 +101,8 @@ def test_geodesic_residual_detects_non_geodesic():
 
 
 def test_loschmidt_commuting_case():
-    z1 = KLocalHamiltonian(2, 2, {PauliString("ZI"): 1.0}).dense()
-    z2 = KLocalHamiltonian(2, 2, {PauliString("IZ"): 1.0}).dense()
+    z1 = hamiltonian(2, 2, {"ZI": 1.0}).dense()
+    z2 = hamiltonian(2, 2, {"IZ": 1.0}).dense()
     lam = loschmidt(z1, z2, t=0.4, dtheta=0.01)
     assert np.allclose(lam, -1j * z2 * 0.4 * 0.01, atol=1e-15)
 
@@ -135,8 +135,8 @@ def test_sectional_curvature_zero_at_boundary_penalty():
 
 
 def test_sectional_curvature_zero_for_commuting():
-    h = KLocalHamiltonian(4, 2, {PauliString("XXII"): 1.0})
-    d = KLocalHamiltonian(4, 2, {PauliString("YYII"): 0.7})
+    h = hamiltonian(4, 2, {"XXII": 1.0})
+    d = hamiltonian(4, 2, {"YYII": 0.7})
     assert sectional_curvature(h, d, K2_SCHEDULE) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -148,8 +148,8 @@ def test_sectional_curvature_negative_generic():
 def test_sectional_curvature_scale_invariant():
     hk, dk = sample_orthogonal_pair(4, seed=42)
     r0 = sectional_curvature(hk, dk, K2_SCHEDULE)
-    h2 = KLocalHamiltonian(4, 2, {p: 3.7 * j for p, j in hk.terms.items()})
-    d2 = KLocalHamiltonian(4, 2, {p: -0.2 * j for p, j in dk.terms.items()})
+    h2 = KLocalHamiltonian(4, 2, hk.x, hk.z, 3.7 * hk.couplings)
+    d2 = KLocalHamiltonian(4, 2, dk.x, dk.z, -0.2 * dk.couplings)
     assert sectional_curvature(h2, d2, K2_SCHEDULE) == pytest.approx(r0, rel=1e-12)
 
 
@@ -173,8 +173,7 @@ def test_sectional_curvature_matches_trace_oracle_on_distinct_terms():
     # letters, and XY.YY, XZ.YZ and YX.XX all land on ZII, so their phases interfere
     h = {"XYI": 0.7, "XZI": -0.4, "YXI": 1.3, "ZIY": 0.25, "IYX": -0.8}
     d = {"YYI": 0.9, "YZI": -1.1, "XXI": 0.6, "YIY": -0.35, "IZY": 0.45}
-    hk = KLocalHamiltonian(3, 2, {PauliString(p): j for p, j in h.items()})
-    dk = KLocalHamiltonian(3, 2, {PauliString(p): j for p, j in d.items()})
+    hk, dk = hamiltonian(3, 2, h), hamiltonian(3, 2, d)
     r = sectional_curvature(hk, dk, K2_SCHEDULE)
     assert r < 0
     assert r == pytest.approx(_trace_oracle(hk, dk), rel=1e-12)
@@ -184,18 +183,27 @@ def test_sectional_curvature_matches_trace_oracle_on_distinct_terms():
 def test_commutator_table_counts_anticommuting_pairs(K):
     # a 2-local string anticommutes with 12(K-2) + 4 of the N = 9 C(K,2)
     # 2-local strings (a differing letter on exactly one shared qubit)
-    strings = enumerate_strings(K, 2, exactly_local=True)
-    n = len(strings)
-    table = CommutatorTable(strings, strings)
+    masks = pauli_masks(K, 2, exactly_local=True)
+    n = len(masks[0])
+    table = CommutatorTable(K, masks, masks)
     assert len(table) == n * (12 * (K - 2) + 4)
     # the closed form of the trace-ratio oracle below is 8 * pairs / N^2
     assert 8 * len(table) / n**2 == pytest.approx(16.0 * (12 * K - 20) / (9 * K * (K - 1)), rel=1e-14)
 
 
 def test_commutator_table_validation():
-    with pytest.raises(ValueError, match="qubit count"):
-        CommutatorTable([PauliString("XX")], [PauliString("XYZ")])
-    table = CommutatorTable([PauliString("XX")], [PauliString("ZI"), PauliString("IZ")])
+    # a string on more than K qubits would share its product key with another
+    with pytest.raises(ValueError, match="at or above K = 2"):
+        CommutatorTable(2, encode(["XX"]), encode(["XYZ"]))
+    with pytest.raises(ValueError, match="at or above K = 2"):
+        CommutatorTable(2, encode(["XYZ"]), encode(["XX"]))
+    (x, z), right = encode(["XX", "YY"]), encode(["ZI"])
+    for left in [(x, z[:1]), (x[:1], z)]:
+        with pytest.raises(ValueError, match="differ in length"):
+            CommutatorTable(2, left, right)
+        with pytest.raises(ValueError, match="differ in length"):
+            CommutatorTable(2, right, left)
+    table = CommutatorTable(2, encode(["XX"]), encode(["ZI", "IZ"]))
     with pytest.raises(ValueError, match="shapes"):
         table.commutator_norm_sq(np.ones(1), np.ones(3))
 
@@ -207,7 +215,7 @@ def test_sectional_curvature_validation():
         sectional_curvature(h3, h3, K2_SCHEDULE)
     with pytest.raises(ValueError, match="orthogonal"):
         sectional_curvature(h2, h2, K2_SCHEDULE)
-    zero = KLocalHamiltonian(4, 2, {PauliString("XXII"): 0.0})
+    zero = hamiltonian(4, 2, {"XXII": 0.0})
     with pytest.raises(ValueError, match="zero-norm"):
         sectional_curvature(h2, zero, K2_SCHEDULE)
 
@@ -216,8 +224,8 @@ def test_sample_orthogonal_pair_properties():
     hk, dk = sample_orthogonal_pair(6, seed=46)
     overlap = normalized_trace_product(hk.dense(), dk.dense())
     assert abs(overlap) < 1e-12
-    assert all(p.weight == 2 for p in hk.terms)
-    assert all(p.weight == 2 for p in dk.terms)
+    assert (np.bitwise_count(hk.x | hk.z) == 2).all()
+    assert (np.bitwise_count(dk.x | dk.z) == 2).all()
 
 
 def test_curvature_ensemble_reproducible_and_consistent():
@@ -243,15 +251,15 @@ def test_single_trial_ensemble_is_the_pair_curvature_bit_for_bit(K):
 
 @pytest.mark.parametrize("K", [4, 6, 8, 10])
 def test_curvature_ensemble_matches_a_loop_over_sampled_pairs(K):
-    # reference: Hamiltonian pairs, their own term tables and coupling_norm_sq
+    # reference: Hamiltonian pairs, their own term tables and norms
     trials, seed = 9, 70
     result = curvature_ensemble(K, K2_SCHEDULE, trials=trials, seed=seed)
     ratios, curvatures = [], []
     for i in range(trials):
         hk, dk = sample_orthogonal_pair(K, seed, i)
-        table = CommutatorTable(list(hk.terms), list(dk.terms))
-        num = 2.0 * table.commutator_norm_sq(hk.couplings(), dk.couplings())
-        ratios.append(num / (hk.coupling_norm_sq() * dk.coupling_norm_sq()))
+        table = CommutatorTable(K, (hk.x, hk.z), (dk.x, dk.z))
+        num = 2.0 * table.commutator_norm_sq(hk.couplings, dk.couplings)
+        ratios.append(num / (_sum_of_squares(hk.couplings) * _sum_of_squares(dk.couplings)))
         curvatures.append(sectional_curvature(hk, dk, K2_SCHEDULE))
     assert result.trace_ratio_mean == np.array(ratios).mean()
     assert result.mean == pytest.approx(np.mean(curvatures), rel=1e-14, abs=0)
@@ -261,8 +269,9 @@ def test_curvature_ensemble_matches_a_loop_over_sampled_pairs(K):
 def test_pair_first_member_is_the_even_klocal_draw(K, seed, draw):
     hk, _ = sample_orthogonal_pair(K, seed, draw)
     ref = sample_klocal(K, 2, True, K, seed, 2 * draw)
-    assert hk == ref
-    assert hk.couplings().tobytes() == ref.couplings().tobytes()
+    assert (hk.K, hk.k) == (ref.K, ref.k)
+    assert hk.x.tobytes() == ref.x.tobytes() and hk.z.tobytes() == ref.z.tobytes()
+    assert hk.couplings.tobytes() == ref.couplings.tobytes()
 
 
 def test_curvature_ensemble_builds_no_hamiltonian(monkeypatch):
@@ -285,6 +294,10 @@ def test_curvature_ensemble_validation():
         curvature_ensemble(3, K2_SCHEDULE, trials=2, seed=0)
     with pytest.raises(ValueError):
         curvature_ensemble(4, K2_SCHEDULE, trials=0, seed=0)
+    with pytest.raises(OverflowError, match="I\\(3\\)"):
+        curvature_ensemble(4, PenaltySchedule(1, 1e308), trials=3, seed=0)
+    with pytest.raises(OverflowError, match="mean curvature"):
+        curvature_ensemble(4, PenaltySchedule(2, 1e307), trials=100, seed=0)
 
 
 @pytest.mark.parametrize("K", [4, 6, 8, 10])
@@ -305,11 +318,9 @@ class TwoGatherTable:
     """Anticommuting pairs with their left and right indices and signs;
     each pair's term is s h_a d_b, gathered from h and from d."""
 
-    def __init__(self, left, right):
-        K = left[0].num_qubits
-        self.shape = (len(left), len(right))
-        xa, za = (np.array([getattr(p, f) for p in left]) for f in "xz")
-        xb, zb = (np.array([getattr(p, f) for p in right]) for f in "xz")
+    def __init__(self, K, left, right):
+        (xa, za), (xb, zb) = left, right
+        self.shape = (len(xa), len(xb))
         ya, yb = np.bitwise_count(xa & za), np.bitwise_count(xb & zb)
         twist = np.bitwise_count(za[:, None] & xb).astype(np.int64)
         odd = (np.bitwise_count(xa[:, None] & zb) + twist) & 1
@@ -330,19 +341,20 @@ class TwoGatherTable:
 
 @pytest.mark.parametrize("K", [4, 6, 8, 10])
 def test_commutator_norm_equals_the_two_gather_reference(K):
-    strings = enumerate_strings(K, 2, exactly_local=True)
-    table, ref = CommutatorTable(strings, strings), TwoGatherTable(strings, strings)
+    masks = pauli_masks(K, 2, exactly_local=True)
+    n = len(masks[0])
+    table, ref = CommutatorTable(K, masks, masks), TwoGatherTable(K, masks, masks)
     assert len(table) == len(ref)
     for draw in range(10):
-        h, d = _orthogonal_couplings(K, len(strings), 80, draw)
+        h, d = _orthogonal_couplings(K, n, 80, draw)
         assert table.commutator_norm_sq(h, d) == ref.commutator_norm_sq(h, d)
     # distinct term lists of different lengths: the pairs of each left term
     # are repeated from h and the right indices gathered from [d, -d]
-    left, right = strings[: len(strings) // 3], strings[len(strings) // 2 :]
-    table, ref = CommutatorTable(left, right), TwoGatherTable(left, right)
+    left, right = tuple(m[: n // 3] for m in masks), tuple(m[n // 2 :] for m in masks)
+    table, ref = CommutatorTable(K, left, right), TwoGatherTable(K, left, right)
     rng = np.random.default_rng(K)
     for _ in range(10):
-        h, d = rng.normal(size=len(left)), rng.normal(size=len(right))
+        h, d = rng.normal(size=n // 3), rng.normal(size=n - n // 2)
         assert table.commutator_norm_sq(h, d) == ref.commutator_norm_sq(h, d)
 
 
@@ -358,9 +370,9 @@ def test_curvature_csv_is_the_same_with_the_reference_table(tmp_path, monkeypatc
     built = []
 
     class Counted(TwoGatherTable):
-        def __init__(self, left, right):
-            built.append(len(left))
-            super().__init__(left, right)
+        def __init__(self, K, left, right):
+            built.append(len(left[0]))
+            super().__init__(K, left, right)
 
     monkeypatch.setattr(geometry, "CommutatorTable", Counted)
     assert main(["curvature", "--outdir", str(tmp_path / "ref")]) == 0
