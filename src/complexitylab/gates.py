@@ -13,7 +13,10 @@ block multiplied by every gate in one matmul and keyed in one vectorised
 pass that reproduces ``canonical_key`` byte for byte.  A ball keeps its
 BFS tree (where each member came from) and rebuilds member matrices on
 demand.  ``canonical_key`` and ``ComplexityBall.depth_of`` stay the
-single-matrix path for lookups.
+single-matrix path for lookups: one phase fix, then one grid pass over
+the real and imaginary parts together.  Keys refuse input they cannot
+represent: non-square or non-matrix input, and non-finite entries or
+entries above 2 in magnitude, which lie outside the integer grids.
 
 Inverse closure of the gate set makes word-length distance symmetric,
 and right invariance C(U, V) = C(U V^dag) holds by construction.
@@ -45,15 +48,23 @@ def phase_fix(U: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude entry is real >= 0.
 
     Ties are broken by the lowest row-major index among entries within
-    1e-12 of the maximum magnitude.
+    1e-12 of the maximum magnitude.  A largest magnitude that is not
+    finite or exceeds 2 (no unitary has one, and the key grids of
+    ``_key_dtype`` do not hold it) raises ValueError.
     """
-    flat = np.asarray(U).ravel()
-    mags = np.abs(flat)
-    idx = int(np.argmax(mags >= mags.max() - 1e-12))
-    z = flat[idx]
-    if abs(z) == 0:
-        return np.asarray(U, dtype=complex)
-    return np.asarray(U) * (z.conjugate() / abs(z))
+    # one C-ordered copy of an F-ordered U (a transpose) spares each later
+    # step a hidden copy of its own
+    U = np.ascontiguousarray(U, dtype=complex)
+    mags = np.abs(U)
+    top = mags.ravel()[mags.argmax()]  # mags.max(), in half the time; nan if any entry is nan
+    if not top <= 2:
+        raise ValueError(f"largest entry magnitude is {top}; expected a finite value <= 2")
+    z = U.flat[(mags >= top - 1e-12).argmax()]
+    absz = abs(z)
+    if absz == 0:
+        return U
+    # numpy scalars throughout: Python complex division gives other last bits
+    return U * (z.conjugate() / absz)
 
 
 def _key_dtype(dim: int, epsilon: float) -> type:
@@ -64,14 +75,17 @@ def _key_dtype(dim: int, epsilon: float) -> type:
 
 
 def canonical_key(U: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> bytes:
-    """Opaque key identifying U up to global phase at resolution epsilon."""
+    """Opaque key identifying U up to global phase at resolution epsilon:
+    the real grid of the phase-fixed entries, then the imaginary grid, in
+    one pass.  U must be a square matrix; see ``phase_fix`` for the
+    entries it refuses."""
     Uf = phase_fix(U)
+    if Uf.ndim != 2 or Uf.shape[0] != Uf.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {Uf.shape}")
     dim = Uf.shape[0]
-    pitch = epsilon / dim
-    dtype = _key_dtype(dim, epsilon)
-    re = np.round(Uf.real / pitch).astype(dtype)
-    im = np.round(Uf.imag / pitch).astype(dtype)
-    return re.tobytes() + im.tobytes()
+    # (2, dim^2) view: row 0 the real parts, row 1 the imaginary parts
+    v = Uf.reshape(-1).view(np.float64).reshape(-1, 2).T / (epsilon / dim)
+    return np.rint(v, out=v).astype(_key_dtype(dim, epsilon)).tobytes()
 
 
 def _phase_aligned_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -129,6 +143,9 @@ class ComplexityBall:
     truncated: bool = False
 
     def depth_of(self, U: np.ndarray) -> int | None:
+        shape = np.shape(U)
+        if shape != self.gates.shape[1:]:
+            raise ValueError(f"U has shape {shape}, expected {self.gates.shape[1:]}")
         return self.index.get(canonical_key(U, self.epsilon))
 
     @property

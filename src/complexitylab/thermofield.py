@@ -61,7 +61,8 @@ def _boltzmann_weights(spectrum: np.ndarray, beta: float) -> np.ndarray:
     if math.isinf(beta):
         w = (spectrum <= e0 + 1e-12 * max(1.0, abs(e0))).astype(float)
     else:
-        w = np.exp(-beta * (spectrum - e0))
+        with np.errstate(over="ignore"):  # beta (E - E0) past the float range: weight exp(-inf) = 0
+            w = np.exp(-beta * (spectrum - e0))
     return w / w.sum()
 
 

@@ -525,6 +525,16 @@ def test_tfd_beta_inf_is_the_ground_state(tmp_path):
     assert "entropy_left: 0\n" in read(tmp_path / "tfd_summary.txt").decode()
 
 
+def test_tfd_beta_past_the_float_range_of_beta_e_is_the_ground_state_without_a_warning(tmp_path):
+    # beta (E - E0) = 1e309 overflows to inf, and exp(-inf) = 0 is the excited weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tfd", "--beta", "1e308", "--spectrum", "0,10", "--outdir", str(tmp_path)]) == 0
+    values = dict(line.split(",") for line in read(tmp_path / "tfd.csv").decode().splitlines()[1:])
+    for side in ("left", "right", "thermal"):
+        assert values[f"entropy_{side}"] == "0"
+
+
 def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
     # exp(-beta E/2) stays finite at beta 0, but <H H> squares E = 1e200
     assert main(["tfd", "--beta", "0", "--spectrum", "1e200,0", "--outdir", str(tmp_path)]) == 1

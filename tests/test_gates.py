@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,149 @@ def test_depth_of_unknown_returns_none():
     ball = sphere_growth(gs, max_depth=6)
     target = np.kron(np.diag([1, 1j]), np.eye(2)).astype(complex)
     assert ball.depth_of(target) is None
+
+
+@pytest.mark.parametrize("make_gateset", [cnot_pair_gateset, two_qubit_clifford_gateset])
+@pytest.mark.parametrize("U", [np.eye(2), np.eye(8), np.ones(4), np.eye(4)[:, :2]], ids=["2x2", "8x8", "vector", "4x2"])
+def test_depth_of_refuses_a_matrix_of_another_shape(make_gateset, U):
+    # not found would read as "farther than the ball": name both shapes instead
+    ball = sphere_growth(make_gateset(), max_depth=3)
+    with pytest.raises(ValueError, match=re.escape(f"U has shape {U.shape}, expected (4, 4)")):
+        ball.depth_of(U)
+
+
+def _with_entry(value, index=(1, 2)):
+    U = np.eye(4, dtype=complex)
+    U[index] = value
+    return U
+
+
+@pytest.mark.parametrize(
+    "U, message",
+    [
+        (_with_entry(np.nan), "magnitude is nan"),
+        (_with_entry(complex(0, np.nan)), "magnitude is nan"),
+        (_with_entry(np.inf), "magnitude is inf"),
+        (_with_entry(-np.inf), "magnitude is inf"),
+        (np.diag([np.inf] * 4), "magnitude is inf"),
+        (_with_entry(2.5j, (3, 0)), "magnitude is 2.5"),
+        (np.eye(4)[:, :3], r"square matrix, got shape \(4, 3\)"),
+        (np.stack([np.eye(4)] * 2), r"square matrix, got shape \(2, 4, 4\)"),
+        (np.ones(4), r"square matrix, got shape \(4,\)"),
+    ],
+    ids=["nan", "nan-imag", "inf", "-inf", "inf-diagonal", "2.5", "4x3", "3-d", "vector"],
+)
+def test_canonical_key_refuses_what_its_grid_cannot_hold(U, message):
+    # non-finite entries once gave numpy warnings and a key (all INT_MIN for
+    # np.eye(4) * inf); entries above 2 lie outside the int32 grids of _key_dtype
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epsilon in (1e-6, gates.MIN_EPSILON):
+            with pytest.raises(ValueError, match=message):
+                canonical_key(U, epsilon)
+
+
+def test_canonical_key_takes_magnitude_two():
+    assert canonical_key(2 * np.eye(4)) != canonical_key(np.eye(4))
+    assert np.array_equal(phase_fix(-2j * np.eye(2)), 2 * np.eye(2))
+
+
+# --- the single-matrix key against its first, two-grid form ----------------
+
+
+def _reference_phase_fix(U):
+    """phase_fix as first written: one product in U's own dtype."""
+    flat = np.asarray(U).ravel()
+    mags = np.abs(flat)
+    idx = int(np.argmax(mags >= mags.max() - 1e-12))
+    z = flat[idx]
+    if abs(z) == 0:
+        return np.asarray(U, dtype=complex)
+    return np.asarray(U) * (z.conjugate() / abs(z))
+
+
+def _reference_canonical_key(U, epsilon):
+    """canonical_key as first written: the real grid and the imaginary grid
+    rounded and cast apart, int32 only while 2 dim / epsilon < 2^31."""
+    Uf = _reference_phase_fix(U)
+    dim = Uf.shape[0]
+    pitch = epsilon / dim
+    dtype = np.int32 if 2 * dim / epsilon < 2**31 else np.int64
+    re = np.round(Uf.real / pitch).astype(dtype)
+    im = np.round(Uf.imag / pitch).astype(dtype)
+    return re.tobytes() + im.tobytes()
+
+
+@functools.cache
+def _clifford_members():
+    return [U for U, _ in _clifford_ball()[1].members]
+
+
+@pytest.mark.parametrize("epsilon", [gates.DEFAULT_EPSILON, gates.MIN_EPSILON])
+def test_canonical_key_equals_the_reference_on_the_clifford_group(epsilon):
+    members = _clifford_members()
+    assert len(members) == 11520
+    assert all(canonical_key(U, epsilon) == _reference_canonical_key(U, epsilon) for U in members)
+
+
+_H_S = [np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.diag([1, 1j])]
+
+
+def _clifford_like(dim, rng):
+    """A matrix with magnitude ties: a word in H and S, a 2-qubit Clifford
+    ball member, or a member times a word."""
+    word = np.eye(2, dtype=complex)
+    for _ in range(rng.integers(7)):
+        word = _H_S[rng.integers(2)] @ word
+    if dim == 2:
+        return word
+    members = _clifford_members()
+    member = members[rng.integers(len(members))]
+    return member if dim == 4 else np.kron(member, word)
+
+
+def _laid_out(M, layout):
+    if layout == "transpose":  # an F-ordered view
+        return M.T
+    if layout == "strided":
+        big = np.zeros((2 * len(M), 2 * len(M)), dtype=M.dtype)
+        big[::2, ::2] = M
+        return big[::2, ::2]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 4, 8]),
+    kind=st.sampled_from(["haar", "clifford", "zero", "real", "integer"]),
+    exact_phase=st.booleans(),
+    layout=st.sampled_from(["c", "transpose", "strided"]),
+    epsilon=st.sampled_from([1e-3, 1e-6, 1e-11, gates.MIN_EPSILON]),
+)
+def test_canonical_key_and_phase_fix_equal_the_reference(seed, dim, kind, exact_phase, layout, epsilon):
+    # int32 grids at 1e-3 and 1e-6, int64 at 1e-11 and MIN_EPSILON
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        M = haar_unitary(dim, rng)
+    elif kind == "zero":
+        M = np.zeros((dim, dim), dtype=complex)
+    elif kind == "integer":  # entries -2..2, the largest magnitude the keys take
+        M = rng.integers(-2, 3, size=(dim, dim))
+    else:
+        M = _clifford_like(dim, rng)
+        if kind == "real":  # ties at 1/2 and 1/sqrt(2) among real entries
+            M = M.real.copy()
+    if M.dtype == complex:
+        M = M * (_PHASES[rng.integers(len(_PHASES))] if exact_phase else np.exp(2j * math.pi * rng.uniform()))
+    U = _laid_out(M, layout)
+    assert canonical_key(U, epsilon) == _reference_canonical_key(U, epsilon)
+    fixed = phase_fix(U)
+    assert fixed.dtype == complex
+    # the reference fixes a real or integer U in its own dtype, where 0 * -1.0
+    # keeps its sign: compare bytes on the complex copy, values on U itself
+    assert fixed.tobytes() == _reference_phase_fix(np.asarray(U, dtype=complex)).tobytes()
+    assert np.array_equal(fixed, _reference_phase_fix(U))
 
 
 # --- the batched engine against per-matrix references ----------------------
