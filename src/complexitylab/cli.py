@@ -108,6 +108,13 @@ def _black_hole_from(opts) -> holography.BlackHoleSpec:
     return holography.BlackHoleSpec(d=opts.dim, mu=opts.mu, l_ads=opts.lads, G=opts.G)
 
 
+def _require_finite(entries) -> None:
+    """Raise ValueError naming the first (name, value) entry whose value is a non-finite float."""
+    for name, value in entries:
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value}")
+
+
 # --- subcommand handlers ----------------------------------------------------
 
 
@@ -204,15 +211,14 @@ def cmd_tfd(opts) -> Result:
         proj[i, i] = 1.0
         c = tfd.two_sided_correlator(psi, proj, proj, dims=state.dims)
         rows.append((f"corr_P{i}P{i}_re", c.real))
-    for quantity, value in rows:
-        if not math.isfinite(value):
-            raise ValueError(f"{quantity} is not finite: {value}")
+    fubini = tfd.fubini_distance(psi, state.vector())
+    _require_finite([*rows, ("fubini_distance", fubini)])  # beta may be inf: the ground state
     return ["quantity", "value"], rows, {
         "beta": opts.beta,
         "levels": len(spectrum),
         "sign": opts.sign,
         "fidelity": fidelity,
-        "fubini_distance": tfd.fubini_distance(psi, state.vector()),
+        "fubini_distance": fubini,
         "entropy_left": s_l,
     }
 
@@ -231,7 +237,8 @@ def cmd_wormhole(opts) -> Result:
     r_m, v_d = holography.critical_surface(spec)
     tail = rows[-max(4, opts.egrid_points // 4) :]
     slope = float(np.polyfit([r[3] for r in tail], [r[2] for r in tail], 1)[0])
-    return ["E", "r_turn", "volume", "t_sum"], rows, {
+    header = ["E", "r_turn", "volume", "t_sum"]
+    summary = {
         "dim": spec.d,
         "mu": spec.mu,
         "mass": spec.mass,
@@ -241,14 +248,17 @@ def cmd_wormhole(opts) -> Result:
         "late_slope": slope,
         "late_slope_over_V_d": slope / v_d,
     }
+    _require_finite([*(entry for row in rows for entry in zip(header, row)), *summary.items()])
+    return header, rows, summary
 
 
 def cmd_wdw(opts) -> Result:
     spec = _black_hole_from(opts)
     rate = holography.wdw_action_rate(spec)
     lloyd = holography.lloyd_bound(spec, hbar=opts.hbar)
+    header = ["d", "mu", "M", "bulk_rate", "boundary_rate", "total_rate", "lloyd_saturation"]
     rows = [(spec.d, spec.mu, spec.mass, rate.bulk, rate.boundary, rate.total, lloyd.saturation)]
-    return ["d", "mu", "M", "bulk_rate", "boundary_rate", "total_rate", "lloyd_saturation"], rows, {
+    summary = {
         "dim": spec.d,
         "mu": spec.mu,
         "mass": spec.mass,
@@ -256,14 +266,19 @@ def cmd_wdw(opts) -> Result:
         "total_rate_over_2M": f"{rate.total / (2 * spec.mass):.7f}",
         "lloyd_bound": lloyd.bound,
         "lloyd_saturation": lloyd.saturation,
-        "rindler_rate": holography.rindler_rate(spec),
     }
+    _require_finite([*zip(header, rows[0]), *summary.items()])
+    # not checked: at large mu r_m^(2d-4) f(r_m) in E_c overflows before its square root
+    # is taken, so this rate is inf where every other value is finite (--dim 5 --mu 1e200)
+    summary["rindler_rate"] = holography.rindler_rate(spec)
+    return header, rows, summary
 
 
 def cmd_paper_suite(opts) -> Result:
-    # load the one scipy extension the checks call (QUADPACK, for quad) up front, so that no check's time carries it
+    # load the scipy extensions the checks call (Brent, QUADPACK) up front, so that no check's time carries them
     start = time.perf_counter()
-    holography._quadpack()
+    for name in holography._SCIPY_EXTENSIONS:
+        holography._scipy_extension(name)
     scipy_import_s = time.perf_counter() - start
     results = acceptance.run_all()
     rows = [(name, "PASS" if ok else "FAIL", detail.replace(",", ";")) for name, ok, detail in results]
@@ -333,6 +348,8 @@ even_count_from_4 = _checked("even_count_from_4", lambda v: v >= 4 and v % 2 == 
 even_count_to_20 = _checked("even_count_to_20", lambda v: 2 <= v <= 20 and v % 2 == 0, int)
 grid_points = _checked("grid_points", lambda v: v >= 2, int)
 positive_int = _checked("positive_int", lambda v: v >= 1, int)
+# an epidemic step moves its counts as float64 weights, exact up to 2^53
+positive_int_to_2_53 = _checked("positive_int_to_2_53", lambda v: 1 <= v <= 2**53, int)
 nonnegative_int = _checked("nonnegative_int", lambda v: v >= 0, int)
 bulk_dim = _checked("bulk_dim", lambda v: v >= 4, int)
 positive = _checked("positive", lambda v: v > 0)
@@ -370,7 +387,7 @@ COMMANDS = {
         (
             Option("--qubits", even_count_to_20000, 10, "even qubit count 2 <= K <= 20000"),
             Option("--max-steps", nonnegative_int, 12, "circuit depth to simulate"),
-            Option("--trials", positive_int, 20000, "Monte-Carlo trials"),
+            Option("--trials", positive_int_to_2_53, 20000, "Monte-Carlo trials, at most 2^53"),
         ),
     ),
     "bfs": Command(
@@ -531,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         header, rows, summary = COMMANDS[args.command].handler(args)
-    except (ValueError, AssertionError, ArithmeticError) as exc:  # float overflow and division by zero included
+    except (ValueError, AssertionError, ArithmeticError, MemoryError) as exc:  # overflow, division by zero, allocation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     name = args.command.replace("-", "_")

@@ -13,10 +13,10 @@ complexity growth.
 Units default to G = l_ads = hbar = 1 and every quantity is configurable
 through BlackHoleSpec.
 
-The root finds use ``brentq``, a port of scipy's Brent solver, and
-``quad`` calls scipy's compiled QUADPACK extension, loaded by itself on
-first use; so a spec, its horizon and critical radius and every rate that
-needs no slice load no scipy, and a slice loads that one extension.
+``brentq`` calls scipy's compiled Brent routine and ``quad`` its compiled
+QUADPACK, each extension loaded by itself on first use: a spec, its
+horizon and critical radius and every rate that needs no slice load only
+scipy.optimize._zeros, and a slice adds scipy.integrate._quadpack.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-# Python floats, like every root brentq returns: an integrand evaluated at
-# a numpy scalar would run numpy scalar arithmetic.
+_BRENTQ_XTOL = 1e-300
 _BRENTQ_RTOL = 4 * sys.float_info.epsilon
 _BRENTQ_MAXITER = 100
 QUAD_TOL = 1e-10  # absolute and relative tolerance of every slice quadrature
@@ -39,6 +38,9 @@ _POLE_BAND = 1e-9  # relative half-width of the band about r_h where the pole su
 
 
 _QUADPACK = "scipy.integrate._quadpack"
+_ZEROS = "scipy.optimize._zeros"
+# scipy's compiled extensions that holography calls, and the routines each must have
+_SCIPY_EXTENSIONS = {_QUADPACK: ("_qagse", "_qagpe"), _ZEROS: ("_brentq",)}
 # scipy's quad messages for each QUADPACK error code ier, each on one line
 _QUADPACK_MESSAGES = {
     1: "The maximum number of subdivisions ({limit}) has been achieved. If increasing the limit yields no "
@@ -59,16 +61,16 @@ _QUADPACK_MESSAGES = {
 }
 
 
-def _quadpack():
-    """scipy's compiled QUADPACK extension, scipy.integrate._quadpack.
+def _scipy_extension(name: str):
+    """scipy's compiled extension ``name``, a key of _SCIPY_EXTENSIONS.
 
-    Importing the scipy.integrate package would load some 345 scipy
-    modules (sparse, linalg, optimize, special, ...) that no slice uses, so
-    on first call the extension is loaded by itself from scipy's install
-    directory and registered under its own name: a later import of
-    scipy.integrate reuses it, and one imported before is taken as it is.
+    Its package (scipy.integrate, scipy.optimize) would load some 320-355
+    scipy modules that holography never uses, so on first call the
+    extension is loaded by itself from scipy's install directory and
+    registered under its own name: a later import of the package reuses
+    it, and one imported before is taken as it is.
     """
-    module = sys.modules.get(_QUADPACK)
+    module = sys.modules.get(name)
     if module is not None:
         return module
     import importlib.util
@@ -77,27 +79,29 @@ def _quadpack():
 
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
-        raise ImportError("quadrature needs scipy, which is not installed")
+        raise ImportError(f"{name} needs scipy, which is not installed")
+    _, package, stem = name.split(".")
+    routines = _SCIPY_EXTENSIONS[name]
     for directory in scipy_spec.submodule_search_locations:
         for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "integrate", "_quadpack" + suffix)
+            path = os.path.join(directory, package, stem + suffix)
             if os.path.exists(path):
-                spec = importlib.util.spec_from_file_location(_QUADPACK, path)
+                spec = importlib.util.spec_from_file_location(name, path)
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
-                if hasattr(module, "_qagse") and hasattr(module, "_qagpe"):
-                    sys.modules[_QUADPACK] = module
+                if all(hasattr(module, routine) for routine in routines):
+                    sys.modules[name] = module
                     return module
     import scipy
 
-    raise ImportError(f"scipy {scipy.__version__} has no compiled QUADPACK {_QUADPACK} with _qagse and _qagpe")
+    raise ImportError(f"scipy {scipy.__version__} has no compiled {name} with {' and '.join(routines)}")
 
 
 # Every call site goes through these two module names, so a caller that
 # patches holography.quad or holography.brentq sees every call.
 def quad(fn, a: float, b: float, points=None, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
     """scipy.integrate.quad over a finite [a, b], calling scipy's compiled
-    QUADPACK directly (_quadpack): QAGSE, or QAGPE with breakpoints.
+    QUADPACK directly: QAGSE, or QAGPE with breakpoints.
 
     As in scipy, the breakpoints are taken once each and only strictly
     inside (a, b), and the same arguments give the same value, error
@@ -105,7 +109,7 @@ def quad(fn, a: float, b: float, points=None, epsabs=1.49e-8, epsrel=1.49e-8, li
     if full_output; a QUADPACK error code ier other than 0 appends scipy's
     message for it, where scipy's quad would only warn without full_output.
     """
-    quadpack = _quadpack()
+    quadpack = _scipy_extension(_QUADPACK)
     if points is None:
         *result, ier = quadpack._qagse(fn, a, b, (), full_output, epsabs, epsrel, limit)
     else:
@@ -119,18 +123,14 @@ def quad(fn, a: float, b: float, points=None, epsabs=1.49e-8, epsrel=1.49e-8, li
     return tuple(result)
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f in [a, b] by Brent's method, a port of scipy's brentq.c.
+def brentq(f, a: float, b: float) -> float:
+    """Root of f in [a, b] by scipy's compiled Brent routine, _brentq from
+    scipy.optimize._zeros, at xtol _BRENTQ_XTOL and rtol _BRENTQ_RTOL.
 
-    Same iteration, same stopping rule (half the bracket below
-    delta = (xtol + rtol |x|)/2) and at most 100 iterations, so on the same
-    f it returns scipy.optimize.brentq's root bit for bit after the same
-    evaluations.  a, b, the tolerances and every value of f are taken as
-    Python floats, and so is the root.  A bracket whose ends have the same
-    sign, a NaN value of f, or no convergence within 100 iterations raises
-    ValueError.
+    Each value of f is taken as a Python float, and so is the root.  A
+    same-sign bracket, a NaN value of f or no convergence in 100
+    iterations raises ValueError; an exception raised by f passes through.
     """
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
 
     def value(x: float) -> float:
         fx = float(f(x))
@@ -138,48 +138,11 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
             raise ValueError(f"root find: f({x:.6g}) is NaN")
         return fx
 
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError(f"root find: f({xpre:.6g}) = {fpre:.6g} and f({xcur:.6g}) = {fcur:.6g} have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # in C the step is then inf or nan, and fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ValueError(f"root find did not converge in {_BRENTQ_MAXITER} iterations on the bracket [{a:.6g}, {b:.6g}]")
+    zeros = _scipy_extension(_ZEROS)
+    root, _, _, flag = zeros._brentq(value, a, b, _BRENTQ_XTOL, _BRENTQ_RTOL, _BRENTQ_MAXITER, (), True, False)
+    if flag:  # no convergence, the one failure scipy returns rather than raises
+        raise ValueError(f"root find did not converge in {_BRENTQ_MAXITER} iterations on the bracket [{a:.6g}, {b:.6g}]")
+    return root
 
 
 @dataclass(frozen=True)
@@ -228,7 +191,7 @@ class BlackHoleSpec:
         lo = hi
         while blackening(self, lo) >= 0:  # ends with f(lo) < 0 <= f(hi), hi = 2 lo
             hi, lo = lo, lo / 2
-        return brentq(lambda r: blackening(self, r), lo, hi, xtol=1e-300, rtol=_BRENTQ_RTOL)
+        return brentq(lambda r: blackening(self, r), lo, hi)
 
     @cached_property
     def r_m(self) -> float:
@@ -241,7 +204,7 @@ class BlackHoleSpec:
         def stationarity(r: float) -> float:
             return (d - 1) * self.mu - (2 * d - 4) * r ** (d - 3) - (2 * d - 2) * r ** (d - 1) / l**2
 
-        return brentq(stationarity, 1e-12 * self.r_h, self.r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
+        return brentq(stationarity, 1e-12 * self.r_h, self.r_h)
 
     @cached_property
     def e_c(self) -> float:
@@ -376,7 +339,7 @@ def interior_volume(spec: BlackHoleSpec, E: float) -> VolumeCurvePoint:
     def f(r: float) -> float:
         return 1.0 - mu / r**dm3 + (r / l_ads) ** 2
 
-    r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), spec.r_m, r_h, xtol=1e-300, rtol=_BRENTQ_RTOL)
+    r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), spec.r_m, r_h)
     if r_turn >= r_h:
         raise ValueError(f"E = {E:.6g} is too small: its turning point rounds onto the horizon r_h = {r_h:.6g}")
     x_h = r_h - r_turn

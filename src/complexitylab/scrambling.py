@@ -131,15 +131,16 @@ def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> Epidemi
 
     The trials are held as an occupancy vector, counts[s] trials with s
     infected, advanced by `_step` on one RNG stream.  Memory is O(K)
-    whatever the number of trials, and the sums of s and s^2 are dot
-    products of that vector, exact while trials * K^2 < 2^53.
+    whatever the number of trials, which `_step`'s float64 weights hold
+    exactly up to 2^53, and the sums of s and s^2 are dot products of
+    that vector, exact while trials * K^2 < 2^53.
     """
     if K % 2 or K < 2:
         raise ValueError(f"K must be even and >= 2, got {K}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= 2**53:  # a step's counts pass through float64 weights
+        raise ValueError(f"trials must be between 1 and 2^53, got {trials}")
     _reachable_law(K)  # first, so that the arrays below add nothing to its peak at large K
     rng = np.random.default_rng(seed)
     powers = np.arange(K + 1.0) ** np.array([[1], [2]])  # rows s and s^2

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -114,7 +115,18 @@ def test_scramble_k1000_is_byte_identical_and_exact_at_tau2(tmp_path):
     assert abs(float(row[1]) - (2 + 2 * p4)) < 5 * stderr
 
 
-@pytest.mark.parametrize("flags", [["--qubits", "7"], ["--max-steps", "-1"], ["--trials", "0"]])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--qubits", "7"],
+        ["--max-steps", "-1"],
+        ["--trials", "0"],
+        # a step's counts pass through float64 weights, exact up to 2^53
+        ["--trials", "9007199254740993"],
+        ["--trials", "9223372036854775807"],
+        ["--trials", "100000000000000000000"],
+    ],
+)
 def test_scramble_bad_input_exits_2_with_message(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["scramble", *flags, "--outdir", str(tmp_path)])
@@ -318,6 +330,8 @@ def test_failed_wormhole_slice_names_its_eta_and_energy(tmp_path, monkeypatch, c
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # Prints the scipy modules loaded by the code run before it, in a fresh process.
 SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# scipy packages that holography never uses
+UNUSED_SCIPY = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special")
 
 
 def _fresh_python(code: str, cwd) -> str:
@@ -338,36 +352,53 @@ def test_importing_the_bare_package_loads_neither_numpy_nor_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, loads_scipy",
+    "argv, calls_quad",
     [
         (["bfs", "--gateset", "cnot"], False),
         (["curvature", "--qubits", "4", "--trials", "5"], False),
         (["tfd"], False),
-        (["wormhole", "--egrid-points", "2"], True),  # a command that calls quad: the probe sees scipy when it is there
+        (["wormhole", "--egrid-points", "2"], True),  # a slice's quadrature
         (["counting"], False),
         (["scramble"], False),
         (["wdw"], False),
     ],
 )
-def test_only_the_commands_that_call_scipy_load_it(argv, loads_scipy, tmp_path):
+def test_only_the_commands_that_call_scipy_load_it(argv, calls_quad, tmp_path):
+    # a black hole's root finds load scipy's Brent extension and nothing else of
+    # scipy; a slice's quadrature adds QUADPACK and what its extension imports
+    # on a call (scipy, scipy._lib._ccallback), but no scipy subpackage
+    expected = {holography._ZEROS} if argv[0] in ("wdw", "wormhole") else set()
+    if calls_quad:
+        quadpack = f"from complexitylab import holography; holography.quad(abs, 0.0, 1.0); {SCIPY_LOADED}"
+        expected |= set(ast.literal_eval(_fresh_python(quadpack, tmp_path)))
+        assert holography._QUADPACK in expected and not expected & set(UNUSED_SCIPY)
     argv = argv + ["--outdir", str(tmp_path)]
     code = f"from complexitylab.cli import main; assert main({argv!r}) == 0; {SCIPY_LOADED}"
-    loaded = _fresh_python(code, tmp_path).splitlines()[-1]
-    assert (loaded != "[]") == loads_scipy, loaded
+    assert _fresh_python(code, tmp_path).splitlines()[-1] == str(sorted(expected))
 
 
-def test_a_black_hole_and_its_rates_load_no_scipy(tmp_path):
-    # only a slice's quadrature needs scipy: the root finds are holography's own
+def test_a_black_hole_and_its_rates_load_only_scipys_brent_extension(tmp_path):
+    # only a slice's quadrature needs QUADPACK: the root finds call scipy.optimize._zeros alone
     code = (
         "from complexitylab import holography as h; s = h.BlackHoleSpec(d=4, mu=100.0); "
         "s.r_h, s.r_m, s.temperature, s.entropy, h.critical_energy(s), h.wdw_action_rate(s), "
         f"h.lloyd_bound(s), h.cv_rate(s), h.rindler_rate(s); {SCIPY_LOADED}"
     )
-    assert _fresh_python(code, tmp_path) == "[]\n"
+    assert _fresh_python(code, tmp_path) == "['scipy.optimize._zeros']\n"
 
 
-# scipy packages that a slice's quadrature never uses
-UNUSED_SCIPY = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.special")
+@pytest.mark.parametrize("first", ["", "import scipy.optimize; "], ids=["alone", "after-scipy-optimize"])
+def test_brentq_shares_scipys_brent_extension_with_scipy_optimize(first, tmp_path):
+    # holography.brentq loads scipy.optimize._zeros by itself, and a later
+    # (or earlier) import of scipy.optimize shares that one module object
+    code = (
+        f"{first}import sys; from complexitylab import holography; "
+        "root = holography.brentq(lambda x: x * x - 2.0, 0.0, 2.0); "
+        "from scipy.optimize import _zeros_py, brentq; "
+        "print(_zeros_py._zeros is sys.modules['scipy.optimize._zeros'] is holography._scipy_extension(holography._ZEROS), "
+        "root == brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-300, rtol=holography._BRENTQ_RTOL))"
+    )
+    assert _fresh_python(code, tmp_path) == "True True\n"
 
 
 @pytest.mark.parametrize("first", ["", "import scipy.integrate; "], ids=["alone", "after-scipy-integrate"])
@@ -379,7 +410,8 @@ def test_wormhole_loads_only_scipys_quadpack_extension(first, tmp_path):
         f"assert main(['wormhole', '--egrid-points', '2', '--outdir', {str(tmp_path)!r}]) == 0; "
         f"print(sorted(m for m in {UNUSED_SCIPY!r} + ('scipy.integrate._quadpack',) if m in sys.modules)); "
         "from scipy.integrate import _quadpack_py, quad; "
-        "print(_quadpack_py._quadpack is sys.modules['scipy.integrate._quadpack'] is holography._quadpack(), "
+        "print(_quadpack_py._quadpack is sys.modules['scipy.integrate._quadpack'] "
+        "is holography._scipy_extension(holography._QUADPACK), "
         "quad(lambda x: x * x, 0.0, 3.0)[0])"
     )
     loaded, shared = _fresh_python(code, tmp_path).splitlines()[-2:]
@@ -394,11 +426,12 @@ def test_paper_suite_loads_scipy_before_its_first_check(tmp_path):
     # the import is timed as its own summary entry, not charged to the first check
     code = (
         "import sys; from complexitylab import acceptance, cli; "
-        "acceptance.CHECKS = [('probe', lambda: str('scipy.integrate._quadpack' in sys.modules))]; "
+        "acceptance.CHECKS = [('probe', lambda: ' '.join(sorted(m for m in sys.modules if m.startswith('scipy'))))]; "
         f"assert cli.main(['paper-suite', '--outdir', {str(tmp_path)!r}]) == 0"
     )
     _fresh_python(code, tmp_path)
-    assert read(tmp_path / "paper_suite.csv").decode().splitlines()[1] == "probe,PASS,True"
+    probe = read(tmp_path / "paper_suite.csv").decode().splitlines()[1]
+    assert probe == "probe,PASS,scipy.integrate._quadpack scipy.optimize._zeros"
     assert re.search(r"^scipy_import_s: \d+\.\d{3}$", read(tmp_path / "paper_suite_summary.txt").decode(), re.M)
 
 
@@ -539,6 +572,34 @@ def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
     # exp(-beta E/2) stays finite at beta 0, but <H H> squares E = 1e200
     assert main(["tfd", "--beta", "0", "--spectrum", "1e200,0", "--outdir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: corr_HH_re is not finite: inf\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wdw", "--G", "1e-320"], "M is not finite: inf"),  # M = mu (d-2) Omega / (16 pi G) overflows
+        (["wdw", "--hbar", "1e-320"], "lloyd_saturation is not finite: nan"),  # inf / inf
+        (["wormhole", "--G", "1e-320", "--egrid-points", "2"], "mass is not finite: inf"),
+    ],
+)
+def test_wdw_and_wormhole_non_finite_results_exit_1_and_name_the_first(argv, message, tmp_path, capsys):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# 1 EiB and 4 EiB: beyond any address space, so refused at once whatever the overcommit setting
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["curvature", "--qubits", "4", "--trials", "144115188075855872"], "1.00 EiB"),
+        (["scramble", "--max-steps", "288230376151711744"], "4.00 EiB"),
+    ],
+)
+def test_an_allocation_beyond_the_address_space_exits_1(argv, size, tmp_path, capsys):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: Unable to allocate {size} for an array")
     assert list(tmp_path.iterdir()) == []
 
 

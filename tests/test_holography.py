@@ -290,11 +290,11 @@ def test_root_finds_go_through_the_module_brentq(monkeypatch):
     # perfbench counts root finds by patching holography.brentq; a local import would hide them
     E = 0.5 * critical_energy(BlackHoleSpec(d=4, mu=100.0))
     reference = interior_volume(BlackHoleSpec(d=4, mu=100.0), E)
-    calls = []
+    calls, real_brentq = [], holography.brentq
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return scipy_brentq(*args, **kwargs)
+        return real_brentq(*args, **kwargs)
 
     monkeypatch.setattr(holography, "brentq", counted)
     assert interior_volume(BlackHoleSpec(d=4, mu=100.0), E) == reference
@@ -318,7 +318,7 @@ def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
     # before the outer anchor time moved to v = ln(r - r_h) and r_m was cached,
     # and 31,374 evaluations in 4 quadratures a slice before both integrals
     # moved to the stretched coordinate
-    evals, quads, root_finds = [0], [], []
+    evals, quads, root_finds, real_brentq = [0], [], [], holography.brentq
 
     def counted_quad(fn, *args, **kwargs):
         def counted(*x):
@@ -330,7 +330,7 @@ def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
 
     def counted_brentq(*args, **kwargs):
         root_finds[-1] += 1
-        return scipy_brentq(*args, **kwargs)
+        return real_brentq(*args, **kwargs)
 
     slices = _benchmark_slices()
     monkeypatch.setattr(holography, "quad", counted_quad)
@@ -389,7 +389,7 @@ def test_quad_appends_scipys_message_for_each_error_code(ier, monkeypatch):
 
     reporting = types.SimpleNamespace(_qagse=lambda *args: (0.5, 1.0, {}, ier), _qagpe=lambda *args: (0.5, 1.0, {}, ier))
     monkeypatch.setattr(_quadpack_py, "_quadpack", reporting)
-    monkeypatch.setattr(holography, "_quadpack", lambda: reporting)
+    monkeypatch.setattr(holography, "_scipy_extension", lambda name: reporting)
     for points in (None, [0.5]):
         kwargs = dict(points=points, epsabs=1e-10, epsrel=1e-10, limit=7, full_output=1)
         *ours, message = holography.quad(math.sin, 0.0, 1.0, **kwargs)
@@ -398,15 +398,31 @@ def test_quad_appends_scipys_message_for_each_error_code(ier, monkeypatch):
         assert message == " ".join(scipy_message.split())
 
 
-def test_a_missing_quadpack_extension_raises_import_error_naming_scipys_version(monkeypatch):
+def _no_scipy_extension_file(monkeypatch):
+    """Unload both scipy extensions and hide every extension file, so that loading either fails."""
     import importlib.machinery
 
+    for name in holography._SCIPY_EXTENSIONS:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+
+
+def test_a_missing_quadpack_extension_raises_import_error_naming_scipys_version(monkeypatch):
     import scipy
 
-    monkeypatch.delitem(sys.modules, holography._QUADPACK)
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
-    with pytest.raises(ImportError, match=rf"^scipy {re.escape(scipy.__version__)} has no compiled QUADPACK"):
+    _no_scipy_extension_file(monkeypatch)
+    message = rf"^scipy {re.escape(scipy.__version__)} has no compiled scipy\.integrate\._quadpack with _qagse and _qagpe$"
+    with pytest.raises(ImportError, match=message):
         holography.quad(math.sin, 0.0, 1.0)
+
+
+def test_a_missing_brent_extension_raises_import_error_naming_scipys_version(monkeypatch):
+    import scipy
+
+    _no_scipy_extension_file(monkeypatch)
+    message = rf"^scipy {re.escape(scipy.__version__)} has no compiled scipy\.optimize\._zeros with _brentq$"
+    with pytest.raises(ImportError, match=message):
+        holography.brentq(lambda x: x - 0.5, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-300])
@@ -435,14 +451,15 @@ def _spec_grid_slices(d, masses=(0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)):
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7, 8, "benchmark", "tiny mu"])
-def test_brentq_port_matches_scipy_bit_for_bit(d, monkeypatch):
+def test_brentq_matches_scipy_bit_for_bit(d, monkeypatch):
     # every root find of these slices (horizon, critical radius, turning point)
-    # runs through the port and through scipy.optimize.brentq on the same f;
-    # at tiny mu an extrapolation divides by an underflowed zero, which C
-    # turns into a rejected step and Python into ZeroDivisionError
-    port, found = holography.brentq, []
+    # runs through holography.brentq and through scipy.optimize.brentq at its
+    # tolerances on the same f; at tiny mu an extrapolation divides by an
+    # underflowed zero, which the routine turns into a rejected step
+    ours, found = holography.brentq, []
+    tols = dict(xtol=holography._BRENTQ_XTOL, rtol=holography._BRENTQ_RTOL)
 
-    def both(f, a, b, xtol, rtol):
+    def both(f, a, b):
         calls = [0, 0]
 
         def counted(side):
@@ -452,8 +469,8 @@ def test_brentq_port_matches_scipy_bit_for_bit(d, monkeypatch):
 
             return g
 
-        root = port(counted(0), a, b, xtol=xtol, rtol=rtol)
-        found.append((root, type(root), calls[0], scipy_brentq(counted(1), a, b, xtol=xtol, rtol=rtol), calls[1]))
+        root = ours(counted(0), a, b)
+        found.append((root, type(root), calls[0], scipy_brentq(counted(1), a, b, **tols), calls[1]))
         return root
 
     if d == "benchmark":
@@ -470,8 +487,8 @@ def test_brentq_port_matches_scipy_bit_for_bit(d, monkeypatch):
         except ValueError as exc:  # E = 1e-3 E_c is too small, which is found after its turning point
             assert "is too small: its turning point lies within 1e-06 r_h" in str(exc)
     assert len(found) == len(slices) + 2 * (len(slices) // (34 if d == "benchmark" else 40))
-    ours = [(root, kind, n) for root, kind, n, _, _ in found]
-    assert ours == [(root, float, n) for *_, root, n in found]  # scipy's root and evaluation count, as a float
+    roots = [(root, kind, n) for root, kind, n, _, _ in found]
+    assert roots == [(root, float, n) for *_, root, n in found]  # scipy's root and evaluation count, as a float
     if d == "benchmark":  # turning points only: the traced wormhole-scramble round's holography.brentq.evals
         assert sum(n for i, (*_, n) in enumerate(found) if i % 36 > 1) == 1980
 
@@ -480,7 +497,7 @@ def test_brentq_returns_a_python_float_for_numpy_inputs():
     # a numpy root would make every integrand evaluated at it numpy arithmetic
     assert type(holography._BRENTQ_RTOL) is float
     E, rtol = np.float64(0.3), np.float64(4 * np.finfo(float).eps)
-    root = holography.brentq(lambda r: E * E - r**3, np.float64(0.0), np.float64(1.0), xtol=1e-300, rtol=rtol)
+    root = holography.brentq(lambda r: E * E - r**3, np.float64(0.0), np.float64(1.0))
     assert type(root) is float and root == scipy_brentq(lambda r: E * E - r**3, 0.0, 1.0, xtol=1e-300, rtol=rtol)
     spec = BlackHoleSpec(d=4, mu=100.0)
     p = interior_volume(spec, np.float64(0.5) * critical_energy(spec))
@@ -491,16 +508,29 @@ def test_brentq_returns_a_python_float_for_numpy_inputs():
 @pytest.mark.parametrize(
     "f, message",
     [
-        (lambda x: x * x + 1.0, "have the same sign"),
+        # scipy's message; the id keeps the case's name
+        pytest.param(lambda x: x * x + 1.0, "must have different signs", id="<lambda>-have the same sign"),
         (lambda x: math.nan if x > 0.6 else x - 0.7, r"f\(1\) is NaN"),
         (lambda x: math.nan if 0.65 < x < 0.75 else x - 0.7, r"f\(0\.7\) is NaN"),  # at the first step
     ],
 )
 def test_brentq_rejects_a_bad_bracket_or_a_nan_like_scipy(f, message):
     with pytest.raises(ValueError, match=message):
-        holography.brentq(f, 0.0, 1.0, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
+        holography.brentq(f, 0.0, 1.0)
     with pytest.raises(ValueError):
         scipy_brentq(f, 0.0, 1.0, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
+
+
+@pytest.mark.parametrize("error", [OverflowError(34, "Numerical result out of range"), ValueError("f's own text")])
+def test_brentq_passes_an_exception_raised_by_f_through(error):
+    def f(x):
+        if x > 0.5:
+            raise error
+        return x - 0.7
+
+    with pytest.raises(type(error)) as raised:
+        holography.brentq(f, 0.0, 1.0)
+    assert raised.value is error
 
 
 def test_brentq_gives_up_after_scipys_100_iterations():
@@ -511,7 +541,7 @@ def test_brentq_gives_up_after_scipys_100_iterations():
     while blackening(spec, lo) >= 0:
         lo /= 2
     with pytest.raises(ValueError, match=r"did not converge in 100 iterations on the bracket \[1\.48368e\+33, 1e\+100\]"):
-        holography.brentq(lambda r: blackening(spec, r), lo, 1e100, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
+        holography.brentq(lambda r: blackening(spec, r), lo, 1e100)
     with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
         scipy_brentq(lambda r: blackening(spec, r), lo, 1e100, xtol=1e-300, rtol=holography._BRENTQ_RTOL)
 
@@ -519,11 +549,11 @@ def test_brentq_gives_up_after_scipys_100_iterations():
 @pytest.mark.parametrize("d, mu", [(4, 1e100), (5, 1e200), (4, 1e-50), (4, 1e-70), (4, 100.0), (5, 10.0), (6, 1.0)])
 def test_horizon_bracket_is_one_octave(d, mu, monkeypatch):
     # far from mu ~ 1 the root find converges within its 100 steps, on [lo, 2 lo]
-    port, brackets = holography.brentq, []
+    real_brentq, brackets = holography.brentq, []
 
     def recorded(f, a, b, **kwargs):
         brackets.append((a, b))
-        return port(f, a, b, **kwargs)
+        return real_brentq(f, a, b, **kwargs)
 
     monkeypatch.setattr(holography, "brentq", recorded)
     spec = BlackHoleSpec(d=d, mu=mu)

@@ -395,6 +395,22 @@ def test_epidemic_rejects_negative_steps():
         simulate_epidemic(10, -1, 10, 0)
 
 
+@pytest.mark.parametrize("trials", [2**53 + 1, 2**63 - 1, 10**20])
+def test_epidemic_refuses_more_trials_than_float64_counts_exactly(trials):
+    with pytest.raises(ValueError, match=rf"trials must be between 1 and 2\^53, got {trials}$"):
+        simulate_epidemic(10, 3, trials, 0)
+
+
+def test_step_keeps_a_total_of_2_to_the_53_trials_exact():
+    # the largest total a step's float64 weights hold exactly: every partial sum is an integer <= 2^53
+    rng = np.random.default_rng(5)
+    counts = occupancy(10, 1, 2**53)
+    for _ in range(4):
+        counts = _step(10, counts, rng)
+        assert counts.dtype == np.int64 and int(counts.sum()) == 2**53
+    assert np.count_nonzero(counts) > 2  # the trials have spread over several counts
+
+
 # --- the per-step padding sampler that `_step` replaced, as its oracle --------
 
 
