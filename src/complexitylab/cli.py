@@ -183,7 +183,9 @@ def cmd_counting(opts) -> Result:
         "c_max": report.c_max,
         "entropy_at_c_max": counting.complexity_entropy(report.c_max, report.K),
     }
-    return [f.name for f in dataclasses.fields(report)], [dataclasses.astuple(report)], summary
+    header, row = [f.name for f in dataclasses.fields(report)], dataclasses.astuple(report)
+    _require_finite([*zip(header, row), *summary.items()])  # 1 / epsilon overflows at a subnormal epsilon
+    return header, [row], summary
 
 
 def cmd_tfd(opts) -> Result:

@@ -25,7 +25,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -113,10 +113,9 @@ def quad(fn, a: float, b: float, points=None, epsabs=1.49e-8, epsrel=1.49e-8, li
     if points is None:
         *result, ier = quadpack._qagse(fn, a, b, (), full_output, epsabs, epsrel, limit)
     else:
-        inner = np.unique(points)
-        inner = inner[(a < inner) & (inner < b)]
-        # QAGPE takes two more slots than breakpoints, as in scipy's quad
-        breaks = np.concatenate((inner, (0.0, 0.0)))
+        # the interior points once each in increasing order, as np.unique gives
+        # them, then the two more slots than breakpoints that QAGPE takes
+        breaks = np.array([*sorted({p for p in points if a < p < b}), 0.0, 0.0])
         *result, ier = quadpack._qagpe(fn, a, b, breaks, (), full_output, epsabs, epsrel, limit)
     if ier != 0:
         result.append(_QUADPACK_MESSAGES.get(ier, "Unknown error.").format(limit=limit))
@@ -276,15 +275,21 @@ def _turning_factor(spec: BlackHoleSpec, r0: float) -> tuple[float, ...]:
     d = spec.d
     coeffs = [0.0] * (2 * d - 2)  # x^1 .. x^(2d-2)
     for n, a in ((2 * d - 4, 1.0), (d - 1, -spec.mu), (2 * d - 2, 1.0 / spec.l_ads**2)):
-        for k in range(1, n + 1):
-            coeffs[k - 1] += a * math.comb(n, k) * r0 ** (n - k)
+        for k, binomial in enumerate(_binomials(n), 1):
+            coeffs[k - 1] += a * binomial * r0 ** (n - k)
     return tuple(reversed(coeffs))
+
+
+@cache
+def _binomials(n: int) -> tuple[int, ...]:
+    """C(n, k) for k = 1 .. n."""
+    return tuple(math.comb(n, k) for k in range(1, n + 1))
 
 
 def _integrate(name: str, fn, a: float, b: float, tol: float, points=None) -> float:
     """quad over [a, b] at absolute and relative tolerance tol; a reported
     failure, or an error estimate above the tolerance, raises ValueError."""
-    value, abserr, _, *failure = quad(fn, a, b, points=points, epsabs=tol, epsrel=tol, limit=500, full_output=1)
+    value, abserr, *failure = quad(fn, a, b, points=points, epsabs=tol, epsrel=tol, limit=500)
     if failure or abserr > max(tol, tol * abs(value)):
         reason = " ".join(failure[0].split()) if failure else "error estimate above tolerance"
         raise ValueError(f"{name} integral did not converge: abserr {abserr:.3g}, tol {tol:.3g} ({reason})")
@@ -334,12 +339,12 @@ def interior_volume(spec: BlackHoleSpec, E: float) -> VolumeCurvePoint:
     if E == 0:
         return VolumeCurvePoint(0.0, r_h, 0.0, 0.0)
 
+    # each integrand is a closure over constants bound once per slice, with
+    # f(r) written out and every float operation in the order of the formulas
     two_dm2, dm3, mu, l_ads = 2 * (spec.d - 2), spec.d - 3, spec.mu, spec.l_ads
-
-    def f(r: float) -> float:
-        return 1.0 - mu / r**dm3 + (r / l_ads) ** 2
-
-    r_turn = brentq(lambda r: E * E + r**two_dm2 * f(r), spec.r_m, r_h)
+    sinh, cosh, sqrt = math.sinh, math.cosh, math.sqrt
+    E2 = E * E
+    r_turn = brentq(lambda r: E2 + r**two_dm2 * (1.0 - mu / r**dm3 + (r / l_ads) ** 2), spec.r_m, r_h)
     if r_turn >= r_h:
         raise ValueError(f"E = {E:.6g} is too small: its turning point rounds onto the horizon r_h = {r_h:.6g}")
     x_h = r_h - r_turn
@@ -359,11 +364,12 @@ def interior_volume(spec: BlackHoleSpec, E: float) -> VolumeCurvePoint:
     g0, g1 = coeffs[-1], coeffs[-2]
     a2 = g0 / g1 if g1 * x_h > g0 else x_h
     a = math.sqrt(a2)
+    two_a, four_a = 2.0 * a, 4.0 * a
 
     def vol_integrand(w: float) -> float:
-        s = math.sinh(w)
+        s = sinh(w)
         x = a2 * s * s
-        return 4.0 * a * math.cosh(w) * (r_turn + x) ** two_dm2 / math.sqrt(g(x))
+        return four_a * cosh(w) * (r_turn + x) ** two_dm2 / sqrt(g(x))
 
     w_h = math.asinh(math.sqrt(x_h / a2))
     volume = _integrate("volume", vol_integrand, 0.0, w_h, QUAD_TOL)
@@ -371,15 +377,18 @@ def interior_volume(spec: BlackHoleSpec, E: float) -> VolumeCurvePoint:
     fp_h = blackening_derivative(spec, r_h)
     fpp_h = _blackening_second(spec, r_h)
     pole_limit = -(fpp_h / (2 * fp_h**2) + r_h**two_dm2 / (2 * E * E))
+    pole_term, band = pole_limit * 2.0 * a2, _POLE_BAND * r_h
 
     def time_integrand(w: float) -> float:
         # dt/dr minus the horizon pole 1/(f'(r_h)(r - r_h)), times dr/dw
-        s, c = math.sinh(w), math.cosh(w)
+        s, c = sinh(w), cosh(w)
         x = a2 * s * s
         r = r_turn + x
-        if abs(r - r_h) < _POLE_BAND * r_h:
-            return pole_limit * 2.0 * a2 * s * c
-        return 2.0 * a * c * (E / (f(r) * math.sqrt(g(x))) - a * s / (fp_h * (r - r_h)))
+        dr = r - r_h
+        if -band < dr < band:
+            return pole_term * s * c
+        f = 1.0 - mu / r**dm3 + (r / l_ads) ** 2
+        return two_a * c * (E / (f * sqrt(g(x))) - a * s / (fp_h * dr))
 
     r_cut = RCUT_FACTOR * max(r_h, l_ads)
     w_cut = math.asinh(math.sqrt((r_cut - r_turn) / a2))

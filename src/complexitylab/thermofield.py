@@ -149,7 +149,9 @@ def evolve_tfd(state: TFDState, t_l: float, t_r: float, sign: str = "minus") -> 
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     energies = np.asarray(state.spectrum)
     phase_arg = t_l - t_r if sign == "minus" else t_l + t_r
-    return _diagonal_state(state.amplitudes * np.exp(-1j * energies * phase_arg))
+    with np.errstate(over="ignore", invalid="ignore"):  # E (t_l -+ t_r) past a float's range: a NaN phase, no warning
+        phases = np.exp(-1j * energies * phase_arg)
+    return _diagonal_state(state.amplitudes * phases)
 
 
 def two_sided_correlator(state, O_L: np.ndarray, O_R: np.ndarray, dims=None) -> complex:

@@ -303,7 +303,7 @@ def test_near_critical_wormhole_run_raises_no_warning(tmp_path):
 
 def test_wormhole_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
     def failing_quad(fn, a, b, **kwargs):
-        return 0.0, 1.0, {}, "injected failure"
+        return 0.0, 1.0, "injected failure"  # holography.quad without full_output
 
     monkeypatch.setattr(holography, "quad", failing_quad)
     assert main(["wormhole", "--outdir", str(tmp_path)]) == 1
@@ -316,7 +316,7 @@ def test_failed_wormhole_slice_names_its_eta_and_energy(tmp_path, monkeypatch, c
 
     def failing_anchor_time(fn, a, b, points=None, **kwargs):
         if points is not None:
-            return 0.0, 1.0, {}, "injected failure"
+            return 0.0, 1.0, "injected failure"  # holography.quad without full_output
         return real_quad(fn, a, b, points=points, **kwargs)
 
     monkeypatch.setattr(holography, "quad", failing_anchor_time)
@@ -575,6 +575,15 @@ def test_tfd_non_finite_result_exits_1_and_names_it(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tfd_phase_past_the_float_range_exits_1_without_a_warning(tmp_path, capsys):
+    # E t_l = 1e310 overflows and exp(-i inf) is NaN: the named error is all that is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tfd", "--spectrum", "0,1e10", "--tl", "1e300", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: fidelity is not finite: nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -624,6 +633,8 @@ def test_an_allocation_beyond_the_address_space_exits_1(argv, size, tmp_path, ca
             ["curvature", "--penalty-c", "1e308", "--penalty-k", "1", "--qubits", "4", "--trials", "3"],
             "penalty I(3) = c 4^(3 - k) overflows at c = 1e+308, k = 1\n",
         ),
+        # 1 / epsilon in the distinguishable-unitary count overflows at a subnormal epsilon
+        (["counting", "--qubits", "4", "--epsilon", "1e-320"], "log_num_unitaries is not finite: inf\n"),
     ],
 )
 def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, capsys):

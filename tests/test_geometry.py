@@ -50,7 +50,8 @@ def sectional_curvature(H: KLocalHamiltonian, Delta: KLocalHamiltonian, schedule
     dd = _sum_of_squares(Delta.couplings)
     if hh == 0 or dd == 0:
         raise ValueError("zero-norm input")
-    overlap = sum(j * terms(Delta).get(p, 0.0) for p, j in terms(H).items())
+    delta_terms = terms(Delta)
+    overlap = sum(j * delta_terms.get(p, 0.0) for p, j in terms(H).items())
     if abs(overlap) > ORTHOGONALITY_TOL * max(1.0, math.sqrt(hh * dd)):
         raise ValueError(f"Delta is not trace-orthogonal to H: Tr(H Delta) = {overlap}")
     table = CommutatorTable(H.K, (H.x, H.z), (Delta.x, Delta.z))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -346,6 +347,157 @@ def test_benchmark_grid_stays_within_its_work_budget(monkeypatch):
         assert root_finds[first + 1 : first + 34] == [1] * 33
 
 
+def _reference_breaks(points, a, b):
+    """QAGPE's breakpoint array as scipy's quad builds it: np.unique of the
+    points, those strictly inside (a, b), then two zero slots."""
+    inner = np.unique(points)
+    inner = inner[(a < inner) & (inner < b)]
+    return np.concatenate((inner, (0.0, 0.0)))
+
+
+def _reference_slice(spec, E, evals):
+    """interior_volume's slice with the integrands it had before their
+    constants were bound once per slice: f a closure of its own, every
+    product formed per call, QUADPACK asked for its info dict and given
+    _reference_breaks.  Appends the evaluations of the turning-point root
+    find and of each quadrature to evals."""
+    quadpack = holography._scipy_extension(holography._QUADPACK)
+    tol = holography.QUAD_TOL
+
+    def integrate(fn, a, b, points=None):
+        fn = _counted(fn, evals)
+        if points is None:
+            value, abserr, _, ier = quadpack._qagse(fn, a, b, (), 1, tol, tol, 500)
+        else:
+            value, abserr, _, ier = quadpack._qagpe(fn, a, b, _reference_breaks(points, a, b), (), 1, tol, tol, 500)
+        assert ier == 0 and abserr <= max(tol, tol * abs(value))
+        return value
+
+    r_h = spec.r_h
+    two_dm2, dm3, mu, l_ads = 2 * (spec.d - 2), spec.d - 3, spec.mu, spec.l_ads
+
+    def f(r):
+        return 1.0 - mu / r**dm3 + (r / l_ads) ** 2
+
+    radicand = _counted(lambda r: E * E + r**two_dm2 * f(r), evals)
+    r_turn = scipy_brentq(radicand, spec.r_m, r_h, xtol=holography._BRENTQ_XTOL, rtol=holography._BRENTQ_RTOL)
+    x_h = r_h - r_turn
+    coeffs = _turning_factor(spec, r_turn)
+
+    def g(x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    g0, g1 = coeffs[-1], coeffs[-2]
+    a2 = g0 / g1 if g1 * x_h > g0 else x_h
+    a = math.sqrt(a2)
+
+    def vol_integrand(w):
+        s = math.sinh(w)
+        x = a2 * s * s
+        return 4.0 * a * math.cosh(w) * (r_turn + x) ** two_dm2 / math.sqrt(g(x))
+
+    w_h = math.asinh(math.sqrt(x_h / a2))
+    volume = integrate(vol_integrand, 0.0, w_h)
+    fp_h = holography.blackening_derivative(spec, r_h)
+    fpp_h = holography._blackening_second(spec, r_h)
+    pole_limit = -(fpp_h / (2 * fp_h**2) + r_h**two_dm2 / (2 * E * E))
+
+    def time_integrand(w):
+        s, c = math.sinh(w), math.cosh(w)
+        x = a2 * s * s
+        r = r_turn + x
+        if abs(r - r_h) < holography._POLE_BAND * r_h:
+            return pole_limit * 2.0 * a2 * s * c
+        return 2.0 * a * c * (E / (f(r) * math.sqrt(g(x))) - a * s / (fp_h * (r - r_h)))
+
+    r_cut = holography.RCUT_FACTOR * max(r_h, l_ads)
+    w_cut = math.asinh(math.sqrt((r_cut - r_turn) / a2))
+    t_r = -(integrate(time_integrand, 0.0, w_cut, points=[w_h]) + math.log((r_cut - r_h) / x_h) / fp_h)
+    return holography.VolumeCurvePoint(E, r_turn, volume, 2.0 * t_r)
+
+
+def _counted(fn, evals):
+    """fn, counting its evaluations in a new last entry of evals."""
+    evals.append(0)
+
+    def fn_counted(x):
+        evals[-1] += 1
+        return fn(x)
+
+    return fn_counted
+
+
+def _bits(point):
+    return tuple(float(v).hex() for v in dataclasses.astuple(point))
+
+
+@pytest.mark.parametrize("grid", ["benchmark", "wormhole default"])
+def test_interior_volume_is_the_reference_slice_bit_for_bit(grid, monkeypatch):
+    # the same points after the same evaluations as the slice before its
+    # integrand constants were bound once per slice
+    if grid == "benchmark":
+        slices = _benchmark_slices()
+    else:  # the wormhole command's default grid: d = 4, mu = 100, 16 slices from eta = 1e-1 to 1e-5
+        spec = BlackHoleSpec(d=4, mu=100.0)
+        slices = [(spec, spec.e_c * (1.0 - eta)) for eta in np.geomspace(1e-1, 1e-5, 16).tolist()]
+    for spec, _ in slices:
+        spec.e_c  # the horizon and critical radius: the slice's only root find is then its turning point
+    real_quad, real_brentq, evals = holography.quad, holography.brentq, []
+    monkeypatch.setattr(holography, "quad", lambda fn, *args, **kwargs: real_quad(_counted(fn, evals), *args, **kwargs))
+    monkeypatch.setattr(holography, "brentq", lambda fn, *args: real_brentq(_counted(fn, evals), *args))
+    for spec, E in slices:
+        reference_evals = []
+        reference = _reference_slice(spec, E, reference_evals)
+        evals.clear()
+        assert _bits(interior_volume(spec, E)) == _bits(reference)
+        assert evals == reference_evals and len(evals) == 3  # the turning point, the volume, the anchor time
+
+
+@pytest.mark.parametrize("eta", [1e-1, 1e-7])
+@pytest.mark.parametrize("d, mu", [(4, 100.0), (5, 10.0), (6, 1.0)])
+def test_anchor_time_integrand_in_the_pole_band_is_its_limit(d, mu, eta):
+    # no quadrature node of a tested slice falls within _POLE_BAND r_h of the
+    # horizon, so the value taken there is checked here: at w_h, where r = r_h,
+    # it is the mean of the integrand 1e-5 r_h to either side (they agree to 1e-7)
+    spec = BlackHoleSpec(d=d, mu=mu)
+    E = critical_energy(spec) * (1 - eta)
+    p = interior_volume(spec, E)
+    _, (fn, _, _, [w_h]) = _slice_integrals(spec, E)
+    s, c = math.sinh(w_h), math.cosh(w_h)
+    dw = 1e-5 * spec.r_h / (2 * (spec.r_h - p.r_turn) * c / s)  # dr/dw = 2 a^2 s c, a^2 s^2 = r_h - r_turn
+    assert 0.5 * (fn(w_h - dw) + fn(w_h + dw)) == pytest.approx(fn(w_h), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [0.7, 0.2, 0.5],  # unsorted
+        [0.5, 0.2, 0.5, 0.2, 0.2],  # repeated
+        [0.0, 1.0, 0.5, 1.0, 0.0],  # on the ends
+        [-1.0, 2.5, 0.5, -0.0, 1.0 + 1e-16],  # outside, and the ends by another name
+        [-3.0, 4.0],  # none inside
+        np.array([0.9, 0.1, 0.9]),
+        [1, 0, 0.25],  # ints
+    ],
+)
+def test_quad_gives_qagpe_the_breakpoints_scipys_quad_builds(points, monkeypatch):
+    real_quadpack, given = holography._scipy_extension(holography._QUADPACK), []
+
+    def qagpe(fn, a, b, breaks, *args):
+        given.append(breaks)
+        return real_quadpack._qagpe(fn, a, b, breaks, *args)
+
+    monkeypatch.setattr(holography, "_scipy_extension", lambda name: types.SimpleNamespace(_qagpe=qagpe))
+    value, abserr = holography.quad(math.exp, 0.0, 1.0, points=points)
+    reference = _reference_breaks(points, 0.0, 1.0)
+    assert given[0].dtype == reference.dtype == np.float64
+    assert given[0].tobytes() == reference.tobytes()
+    assert (value, abserr) == quad(math.exp, 0.0, 1.0, points=points)
+
+
 def _slice_integrals(spec, E):
     """(fn, a, b, points) of each quadrature of the slice at E, as holography.quad receives them."""
     real_quad, integrals = holography.quad, []
@@ -480,7 +632,7 @@ def test_brentq_matches_scipy_bit_for_bit(d, monkeypatch):
     else:
         slices = _spec_grid_slices(d)
     monkeypatch.setattr(holography, "brentq", both)
-    monkeypatch.setattr(holography, "quad", lambda *args, **kwargs: (0.0, 0.0, {}))  # root finds only
+    monkeypatch.setattr(holography, "quad", lambda *args, **kwargs: (0.0, 0.0))  # root finds only
     for spec, E in slices:
         try:
             interior_volume(spec, E)
