@@ -5,9 +5,11 @@ Each handler returns ``(header, rows, summary)``; ``main`` writes them as
 summary and wall time, also printed).  Identical (flags, seed) give identical
 CSV bytes: floats are printed with 17 significant digits, lines end in newlines.
 
-``--config FILE`` merges simple ``key=value`` lines (one per line, ``#``
-comments allowed); explicit command-line flags win.  Flags, config values
-and help all come from the option table ``COMMANDS``.  Exit codes: 0
+``--config FILE`` reads simple ``key=value`` lines (one per line, ``#``
+comments allowed).  Each option's value comes from, in this order, its
+flag, a config line, ``$COMPLEXITYLAB_OUTDIR`` (for ``--outdir``) and the
+option table ``COMMANDS``; argparse holds the whole chain as its defaults.
+Flags, config values and help all come from that table.  Exit codes: 0
 success, 1 numeric failure, 2 usage error.
 """
 
@@ -193,8 +195,8 @@ def cmd_tfd(opts) -> Result:
     state = tfd.tfd(spectrum, opts.beta)
     psi = tfd.evolve_tfd(state, opts.tl, opts.tr, opts.sign)
     fidelity = abs(tfd.overlap(psi, state.vector()))
-    rho_l = tfd.partial_trace(psi, side="left", dims=state.dims)
-    rho_r = tfd.partial_trace(psi, side="right", dims=state.dims)
+    rho_l = tfd.partial_trace(psi, side="left")
+    rho_r = tfd.partial_trace(psi, side="right")
     s_l = tfd.von_neumann_entropy(rho_l)
     s_r = tfd.von_neumann_entropy(rho_r)
     s_thermal = tfd.von_neumann_entropy(tfd.thermal_state(spectrum, opts.beta))
@@ -205,13 +207,13 @@ def cmd_tfd(opts) -> Result:
         ("entropy_thermal", s_thermal),
     ]
     H_op = np.diag(spectrum).astype(complex)
-    corr_hh = tfd.two_sided_correlator(psi, H_op, H_op, dims=state.dims)
+    corr_hh = tfd.two_sided_correlator(psi, H_op, H_op)
     rows.append(("corr_HH_re", corr_hh.real))
     rows.append(("corr_HH_im", corr_hh.imag))
     for i in range(min(len(spectrum), 4)):
         proj = np.zeros((len(spectrum), len(spectrum)), dtype=complex)
         proj[i, i] = 1.0
-        c = tfd.two_sided_correlator(psi, proj, proj, dims=state.dims)
+        c = tfd.two_sided_correlator(psi, proj, proj)
         rows.append((f"corr_P{i}P{i}_re", c.real))
     fubini = tfd.fubini_distance(psi, state.vector())
     _require_finite([*rows, ("fubini_distance", fubini)])  # beta may be inf: the ground state
@@ -372,7 +374,7 @@ def _black_hole_options(mu: float) -> tuple[Option, ...]:
 
 # Settable by flag or config line, after every command's own options.
 _COMMON = (
-    Option("--seed", int, 1729, "RNG seed"),  # fixed so default runs reproduce byte-identical CSV
+    Option("--seed", nonnegative_int, 1729, "RNG seed"),  # fixed so default runs reproduce byte-identical CSV
     Option("--outdir", str, ".", f"output directory, ${OUTDIR_ENV} if set"),
 )
 _CONFIG = Option("--config", str, None, "key=value file merged under the flags")
@@ -476,64 +478,55 @@ COMMANDS = {
 # --- argument plumbing ------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, object] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  An option's value is its flag, else its
+    entry in ``config`` (checked values of a config file), else for
+    ``--outdir`` $COMPLEXITYLAB_OUTDIR, else its table default."""
     parser = argparse.ArgumentParser(
         prog="complexitylab",
         description="Numerical laboratory: qubit scrambling, exact gate complexity, "
         "the penalized complexity metric, counting estimates, thermofield doubles, "
         "and AdS-Schwarzschild wormhole growth.",
     )
+    defaults = {"outdir": os.environ.get(OUTDIR_ENV, "."), **(config or {})}
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, cmd in COMMANDS.items():
         sub = subs.add_parser(name, help=cmd.help, description=cmd.description)
-        # Flags default to None so that config values can fill what is unset.
         for opt in cmd.options + _COMMON + (_CONFIG,):
             text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
-            sub.add_argument(opt.flag, type=opt.type, choices=opt.choices, default=None, help=text)
+            sub.add_argument(opt.flag, type=opt.type, choices=opt.choices, default=opt.default, help=text)
+        sub.set_defaults(**defaults)
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, command: str) -> dict[str, object]:
+    """The ``key=value`` lines of a config file, typed and checked as ``command``'s flags."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         _usage_error(f"--config: {exc}")
-    entries = {}
+    options = {opt.flag[2:].replace("-", "_"): opt for opt in COMMANDS[command].options + _COMMON}
+    config = {}
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             _usage_error(f"--config: line {lineno} is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _merge_options(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from the table defaults."""
-    options = {opt.flag[2:].replace("-", "_"): opt for opt in COMMANDS[args.command].options + _COMMON}
-    config = _load_config(args.config) if args.config else {}
-    for key in config:
+        key, text = line.split("=", 1)
+        key, text = key.strip().replace("-", "_"), text.strip()
         if key not in options:
-            _usage_error(f"--config: unknown flag {key!r} for {args.command}")
-    for key, opt in options.items():
-        if getattr(args, key) is not None:
-            continue
-        if key in config:
-            try:  # the flag's own type and choices, so a config line and a flag cannot disagree
-                value = opt.type(config[key])
-            except ValueError:
-                _usage_error(f"--config: bad value for {opt.flag}: {config[key]!r}")
-            if opt.choices is not None and value not in opt.choices:
-                _usage_error(f"--config: {opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
-        elif key == "outdir":
-            value = os.environ.get(OUTDIR_ENV, opt.default)
-        else:
-            value = opt.default
-        setattr(args, key, value)
-    return args
+            _usage_error(f"--config: unknown flag {key!r} for {command}")
+        opt = options[key]
+        try:  # the flag's own type and choices, so a config line and a flag cannot disagree
+            value = opt.type(text)
+        except ValueError:
+            _usage_error(f"--config: bad value for {opt.flag}: {text!r}")
+        if opt.choices is not None and value not in opt.choices:
+            _usage_error(f"--config: {opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+        config[key] = value
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -542,7 +535,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    args = _merge_options(args)
+    if args.config:
+        args = build_parser(_load_config(args.config, args.command)).parse_args(argv)
     try:
         os.makedirs(args.outdir, exist_ok=True)
     except OSError as exc:

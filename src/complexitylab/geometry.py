@@ -80,7 +80,8 @@ def geodesic_residual_path(
 
 def geodesic_residual(H: KLocalHamiltonian, t: float, h: float) -> float:
     """Residual of the geodesic identity on the flow exp(-iHt)."""
-    return geodesic_residual_path(lambda s: evolve(H, s), t, h)
+    Hm = H.dense()
+    return geodesic_residual_path(lambda s: evolve(Hm, s), t, h)
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -223,13 +223,12 @@ class BlackHoleSpec:
         return self.omega * self.r_h ** (self.d - 2) / (4 * self.G)
 
 
-def blackening(spec: BlackHoleSpec, r: float):
+def blackening(spec: BlackHoleSpec, r: float) -> float:
     """f(r) = 1 - mu / r^(d-3) + r^2 / l^2."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    r = np.asarray(r, dtype=float)  # numpy's 0-d power, not Python's: they can differ in the last bit
+    if r <= 0:
         raise ValueError("r must be positive")
-    out = 1.0 - spec.mu / r ** (spec.d - 3) + (r / spec.l_ads) ** 2
-    return float(out) if out.ndim == 0 else out
+    return float(1.0 - spec.mu / r ** (spec.d - 3) + (r / spec.l_ads) ** 2)
 
 
 def blackening_derivative(spec: BlackHoleSpec, r: float) -> float:

@@ -213,11 +213,7 @@ def is_unitary(U: np.ndarray) -> bool:
     return bool(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))) <= UNITARITY_TOL)
 
 
-def evolve(H, t: float) -> np.ndarray:
-    """exp(-iHt) through the eigendecomposition of Hermitian H.
-
-    ``H`` may be a KLocalHamiltonian or a dense Hermitian matrix.
-    """
-    Hm = H.dense() if isinstance(H, KLocalHamiltonian) else require_hermitian(H)
-    w, v = np.linalg.eigh(Hm)
+def evolve(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) through the eigendecomposition of a dense Hermitian matrix H."""
+    w, v = np.linalg.eigh(require_hermitian(H))
     return (v * np.exp(-1j * w * t)) @ v.conj().T

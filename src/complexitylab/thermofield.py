@@ -86,7 +86,6 @@ class TFDState:
 
     spectrum: tuple[float, ...]
     amplitudes: np.ndarray
-    dims: tuple[int, int]
 
     def vector(self) -> np.ndarray:
         """The full two-sided state vector, nonzero only on |i>|i>."""
@@ -102,9 +101,7 @@ def _diagonal_state(amplitudes: np.ndarray) -> np.ndarray:
 
 def tfd(spectrum, beta: float) -> TFDState:
     spectrum = np.asarray(spectrum, dtype=float)
-    amps = np.sqrt(_boltzmann_weights(spectrum, beta))
-    n = len(spectrum)
-    return TFDState(tuple(spectrum.tolist()), amps, (n, n))
+    return TFDState(tuple(spectrum.tolist()), np.sqrt(_boltzmann_weights(spectrum, beta)))
 
 
 def _product_dims(size: int, dims: tuple[int, int] | None) -> tuple[int, int]:
@@ -128,7 +125,7 @@ def partial_trace(state, side: str = "right", dims: tuple[int, int] | None = Non
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if isinstance(state, TFDState):
-        state, dims = state.vector(), state.dims
+        state = state.vector()
     psi = np.asarray(state)
     if psi.ndim != 1:
         raise ValueError(f"expected a TFDState or a pure state vector, got an array of shape {psi.shape}")
@@ -157,8 +154,6 @@ def evolve_tfd(state: TFDState, t_l: float, t_r: float, sign: str = "minus") -> 
 def two_sided_correlator(state, O_L: np.ndarray, O_R: np.ndarray, dims=None) -> complex:
     """<state| O_L (x) O_R |state> without building the Kronecker product."""
     psi = state.vector() if isinstance(state, TFDState) else np.asarray(state, dtype=complex)
-    if dims is None and isinstance(state, TFDState):
-        dims = state.dims
     dl, dr = _product_dims(psi.size, dims)
     O_L = np.asarray(O_L, dtype=complex)
     O_R = np.asarray(O_R, dtype=complex)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from complexitylab import acceptance, cli, gates, geometry, holography, scrambling
-from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _merge_options, build_parser, main
+from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _load_config, build_parser, main
 from complexitylab.paulis import CommutatorTable
 
 
@@ -441,6 +441,17 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "counting.csv").exists()
 
 
+def test_outdir_from_flag_over_config_over_env_var(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "env"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"outdir={tmp_path / 'config'}\n")
+    assert main(["counting", "--config", str(cfg)]) == 0
+    assert (tmp_path / "config" / "counting.csv").exists()
+    assert main(["counting", "--config", str(cfg), "--outdir", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "counting.csv").exists()
+    assert not (tmp_path / "env").exists()
+
+
 @pytest.mark.parametrize(
     "argv, key, value, ok",
     [
@@ -671,6 +682,7 @@ def test_out_of_range_input_exits_1_and_writes_nothing(argv, message, tmp_path, 
         ("curvature", "--penalty-c", "-1"),
         ("wormhole", "--eta-min", "0"),
         ("wormhole", "--eta-max", "1.5"),
+        ("scramble", "--seed", "-1"),
     ],
 )
 def test_int_out_of_range_exits_2_from_flag_or_config(command, flag, value, tmp_path, capsys):
@@ -806,8 +818,9 @@ def test_config_line_and_flag_merge_to_the_same_namespace(command, tmp_path, mon
         raw = _sample_value(opt)
         cfg = tmp_path / f"{opt.flag[2:]}.cfg"
         cfg.write_text(f"{opt.flag[2:]}={raw}\n")
-        from_flag = vars(_merge_options(build_parser().parse_args([command, opt.flag, raw])))
-        from_config = vars(_merge_options(build_parser().parse_args([command, "--config", str(cfg)])))
+        from_flag = vars(build_parser().parse_args([command, opt.flag, raw]))
+        # main's second parse, with the config file's values as defaults
+        from_config = vars(build_parser(_load_config(str(cfg), command)).parse_args([command, "--config", str(cfg)]))
         assert from_config.pop("config") == str(cfg)
         assert from_flag.pop("config") is None
         assert from_config == from_flag

@@ -212,7 +212,7 @@ def test_trace_product_shape_mismatch():
 
 def test_evolve_identity_at_zero():
     h = sample_klocal(2, 2, False, 2.0, seed=1)
-    assert np.allclose(evolve(h, 0.0), np.eye(4), atol=1e-14)
+    assert np.allclose(evolve(h.dense(), 0.0), np.eye(4), atol=1e-14)
 
 
 def test_evolve_diagonal_phases():
@@ -223,7 +223,7 @@ def test_evolve_diagonal_phases():
 
 
 def test_evolve_composition_and_unitarity():
-    h = sample_klocal(3, 2, True, 3.0, seed=5)
+    h = sample_klocal(3, 2, True, 3.0, seed=5).dense()
     rng = np.random.default_rng(0)
     for _ in range(5):
         t1, t2 = rng.uniform(-3, 3, size=2)

@@ -186,7 +186,7 @@ def test_evolve_tfd_commutes_with_partial_trace():
     state = tfd([0.0, 0.5, 1.3, 2.2], beta=0.8)
     rho0 = partial_trace(state, side="left").entries
     psi = evolve_tfd(state, 1.9, -0.7, sign="minus")
-    rho_t = partial_trace(psi, side="left", dims=state.dims).entries
+    rho_t = partial_trace(psi, side="left").entries
     assert np.max(np.abs(rho_t - rho0)) < 1e-12
 
 
