@@ -102,8 +102,8 @@ def check_epidemic_logistic() -> str:
     mean_inc = sum(increments) / len(increments)
     assert mean_inc == 1.0
     rng = np.random.default_rng(11)
-    start = np.bincount(np.ones(200, dtype=np.int64), minlength=5)  # 200 trials at s = 1
-    sim_steps = set(np.flatnonzero(scrambling._step(4, start, rng)).tolist())
+    start = np.bincount(np.zeros(200, dtype=np.int64), minlength=3)  # 200 trials at row 0, s = 1
+    sim_steps = set(np.array([1, 2, 4])[np.flatnonzero(scrambling._step(4, start, rng))].tolist())  # s of each row
     assert sim_steps == {2}, f"simulator step from s=1 at K=4 gave {sim_steps}, expected always 2"
 
     K = 10
@@ -125,6 +125,26 @@ def check_epidemic_logistic() -> str:
     gap = float(np.max(np.abs(traj.mean_infected / K - curve)))
     assert gap < 0.05, f"max |mc/K - logistic| = {gap:.4f} >= 0.05"
 
+    # exact chain from the same tally: m pairs take s to 2(s - m), the row s - m;
+    # its mean and variance at every step bound a 10^8-trial run's mean
+    r, m = np.nonzero(tally)
+    chain = np.zeros((len(s), len(s)))
+    np.add.at(chain, (r, s[r] - m), tally[r, m] / len(pairings))
+    dist = np.eye(len(s))[0]  # s = 1
+    trials = 10**8  # trials * K^2 < 2^53: the run's sums are exact
+    big = scrambling.simulate_epidemic(K, max_steps=12, trials=trials, seed=20240102)
+    worst_z = 0.0
+    for tau, got in enumerate(big.mean_infected):
+        mean = dist @ s
+        var = dist @ s**2 - mean**2
+        if var == 0.0:
+            assert got == mean, f"K={K} mean at tau={tau} is {got!r}, the exact pairing chain gives {mean!r}"
+        else:
+            z = (got - mean) / math.sqrt(var / trials)
+            assert abs(z) < 5, f"K={K} mean at tau={tau} off the exact pairing chain by {z:+.1f} standard errors"
+            worst_z = max(worst_z, abs(z))
+        dist = dist @ chain
+
     # derivative of the precursor complexity equals K * logistic size
     h = 1e-5
     worst = 0.0
@@ -134,7 +154,7 @@ def check_epidemic_logistic() -> str:
     assert worst < 1e-8, f"precursor derivative identity residual {worst:.2e} >= 1e-8"
     return (
         f"exact one-step mean = 1, max MC-logistic gap = {gap:.4f}, derivative residual = {worst:.1e}, "
-        f"K=10 law vs 945 pairings = {law_err:.1e}"
+        f"K=10 law vs 945 pairings = {law_err:.1e}, K=10 chain max |z| = {worst_z:.2f}"
     )
 
 

@@ -68,6 +68,18 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _numbers(text: str) -> list[float]:
+    """The comma- or semicolon-separated numbers of ``text``; ValueError if one does not parse."""
+    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        return bool(_numbers(text))
+    except ValueError:
+        return False
+
+
 def _parse_spectrum(text: str) -> np.ndarray:
     if os.path.exists(text):
         try:
@@ -76,7 +88,7 @@ def _parse_spectrum(text: str) -> np.ndarray:
         except (OSError, UnicodeDecodeError) as exc:
             _usage_error(f"--spectrum: {exc}")
     try:
-        values = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+        values = _numbers(text)
     except ValueError as exc:
         _usage_error(f"--spectrum: cannot parse {text!r}: {exc}")
     if not values:
@@ -344,8 +356,8 @@ def _checked(name: str, ok: Callable, convert: Callable[[str], object] = finite)
     return parse
 
 
-# the epidemic law holds (K/2+1)(K/4+1) cells of 8 B, plus 2 B of counts
-# (4 B from K = 32768): about 0.5 GB at K = 20000, 15 GB at K = 10^5
+# the epidemic law holds (K/2+1)(K/4+1) cells of 8 B, plus 2 B of destination
+# rows (4 B from K = 65536): about 0.5 GB at K = 20000, 15 GB at K = 10^5
 even_count_to_20000 = _checked("even_count_to_20000", lambda v: 2 <= v <= 20000 and v % 2 == 0, int)
 even_count_from_4 = _checked("even_count_from_4", lambda v: v >= 4 and v % 2 == 0, int)
 # 2^K floats are held at once, and the counting estimates are documented up to K = 20
@@ -529,7 +541,22 @@ def _load_config(path: str, command: str) -> dict[str, object]:
     return config
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with a value that starts with '-' and reads as a number list
+    joined to the flag before it: argparse takes ``-1,0`` or ``-1e3`` for a
+    flag, so ``--spectrum -1,0`` becomes ``--spectrum=-1,0``."""
+    flags = {opt.flag for cmd in COMMANDS.values() for opt in cmd.options + _COMMON + (_CONFIG,)}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in flags and tok.startswith("-") and _is_number_list(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -5,11 +5,13 @@ the qubits are randomly paired at every step and each pair interacts.
 The spread is modelled combinatorially: a pair touching the infected set
 becomes fully infected.  One step is sampled from its exact law: with s
 infected, the number m of infected-infected pairs in a uniform pairing
-fixes the next count 2(s - m).  Trials are kept as the number at each
-count and moved by one multinomial draw per occupied count.  The law is
-tabulated once per K, a block of rows at a time, straight into padded
-rows of probabilities and of the counts 2(s - m) they lead to, so a step
-is one row gather, one multinomial draw and one bincount.
+fixes the next count 2(s - m).  From s = 1 only s = 1 and even s are
+reachable, so the law has one row per reachable count, K/2 + 1 rows in
+all: row 0 holds s = 1 and row j holds s = 2j.  Trials are kept as the
+number at each row and moved by one multinomial draw per occupied row.
+The law is tabulated once per K, a block of rows at a time, straight into
+padded rows of probabilities and of the rows s - m they lead to, so a
+step is one row gather, one multinomial draw and one bincount.
 
 The discrete model doubles per step while s << K (s = 1, 2, 4.0, 8.0,
 15.9, ... at K = 1000) and crosses over near tau = log2 K.  The logistic
@@ -48,24 +50,30 @@ class EpidemicTrajectory:
 _BLOCK = 1 << 14  # cells of the law built at once; 2^16 raised the peak RSS of K = 10 and 1000 runs by 0.9 MB
 
 
+def _row_counts(K: int) -> np.ndarray:
+    """The infected count s of each row of the law: 1 at row 0, 2j at row j."""
+    return np.maximum(1, 2 * np.arange(K // 2 + 1))
+
+
 @functools.lru_cache(maxsize=4)
 def _reachable_law(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact law of m, the number of infected-infected pairs, for s = 1 and
-    even s, the counts reachable from s = 1, as read-only padded rows; s is
-    row s // 2.
+    even s, the counts reachable from s = 1, as read-only padded rows, one
+    per s of `_row_counts`.
 
     With s of K qubits infected, a uniform perfect pairing has m such pairs
     with probability
     P(m) = C(s,2m)(2m-1)!! (K-s)!/(K-2s+2m)! (K-2s+2m-1)!! / (K-1)!!
     on its support m_lo = max(0, s - K/2) <= m <= s//2.  Row r holds the
     probabilities of m = m_lo, m_lo + 1, ... in probs[r, :widths[r]] and
-    zeros after, and dests[r] the count 2(s - m) of every cell, the row's
-    last m repeated in the padding.  Each block of rows is written straight
-    into the table: the ratio P(m)/P(m-1) = (u+2)(u+1) / (2m (K-s-u)), with
-    u = s - 2m, in log space and -inf past the row's width, then summed
-    along the row and normalised, so a row's bits depend only on (K, s).
+    zeros after, and dests[r] the row s - m, of count 2(s - m), that each
+    cell leads to, the row's last m repeated in the padding.  Each block of
+    rows is written straight into the table: the ratio
+    P(m)/P(m-1) = (u+2)(u+1) / (2m (K-s-u)), with u = s - 2m, in log space
+    and -inf past the row's width, then summed along the row and
+    normalised, so a row's bits depend only on (K, s).
     """
-    s = np.concatenate(([1], np.arange(2, K + 1, 2)))
+    s = _row_counts(K)
     m_lo = np.maximum(0, s - K // 2)
     widths = s // 2 - m_lo + 1
     W = int(widths.max())
@@ -93,47 +101,42 @@ def _reachable_law(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         probs[a:b, w:] = 0.0
         # summed over all W cells, so that a row's sum does not depend on w
         probs[a:b] /= probs[a:b].sum(axis=1, keepdims=True)
-    small = np.min_scalar_type(2 * K)  # in place below: at K = 10^4 each such array is 25 MB
+    small = np.min_scalar_type(K)  # in place below: at K = 10^4 each such array is 25 MB
     dests = np.minimum(np.arange(W, dtype=small), (widths - 1).astype(small)[:, None])  # m - m_lo
-    dests *= 2
-    np.subtract((2 * (s - m_lo)).astype(small)[:, None], dests, out=dests)
+    np.subtract((s - m_lo).astype(small)[:, None], dests, out=dests)
     for a in (probs, dests, widths):
         a.flags.writeable = False
     return probs, dests, widths
 
 
 def _step(K: int, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Advance an occupancy vector of length K + 1 one step under uniformly
+    """Advance an occupancy vector of K/2 + 1 rows one step under uniformly
     random pairings.
 
-    counts[s] trials hold s infected qubits.  The trials at each occupied s
-    split over the pair count m by one multinomial draw from the exact law,
-    and each share moves to 2(s - m).  The occupied rows of `_reachable_law`
-    are cut to the widest of them; their zero padding stands for the row's
-    last m, so the multinomial's last category, which takes whatever
-    rounding leaves, is a valid count.  Only the counts reachable from
-    s = 1 have rows: s = 1 and even s.
+    counts[r] trials hold the s infected qubits of row r of `_reachable_law`.
+    The trials at each occupied row split over the pair count m by one
+    multinomial draw from the exact law, and each share moves to row s - m.
+    The occupied rows are cut to the widest of them; their zero padding
+    stands for the row's last m, so the multinomial's last category, which
+    takes whatever rounding leaves, is a valid row.
     """
-    if len(counts) != K + 1:
-        raise ValueError(f"counts has length {len(counts)}, not K + 1 = {K + 1}")
-    occupied = np.flatnonzero(counts)
-    if occupied[0] == 0 or np.count_nonzero(occupied & 1) > (occupied[0] == 1):  # 0 or an odd s > 1
-        raise ValueError(f"occupied counts {occupied.tolist()} are not all 1 or even and >= 2")
-    r = occupied >> 1
+    if len(counts) != K // 2 + 1:
+        raise ValueError(f"counts has length {len(counts)}, not K/2 + 1 = {K // 2 + 1}")
+    occupied = counts.nonzero()[0]
     probs, dests, widths = _reachable_law(K)
-    w = widths[r].max()
-    draws = rng.multinomial(counts[occupied], probs[r, :w])
-    return np.bincount(dests[r, :w].ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
+    w = widths[occupied].max()
+    draws = rng.multinomial(counts[occupied], probs[occupied, :w])
+    return np.bincount(dests[occupied, :w].ravel(), weights=draws.ravel(), minlength=len(counts)).astype(np.int64)
 
 
 def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> EpidemicTrajectory:
     """Monte-Carlo growth of a single-qubit perturbation, s(0) = 1.
 
-    The trials are held as an occupancy vector, counts[s] trials with s
-    infected, advanced by `_step` on one RNG stream.  Memory is O(K)
+    The trials are held as an occupancy vector, counts[r] trials at row r
+    of the law, advanced by `_step` on one RNG stream.  Memory is O(K)
     whatever the number of trials, which `_step`'s float64 weights hold
     exactly up to 2^53, and the sums of s and s^2 are dot products of
-    that vector, exact while trials * K^2 < 2^53.
+    that vector with the rows' s, exact while trials * K^2 < 2^53.
     """
     if K % 2 or K < 2:
         raise ValueError(f"K must be even and >= 2, got {K}")
@@ -143,12 +146,14 @@ def simulate_epidemic(K: int, max_steps: int, trials: int, seed: int) -> Epidemi
         raise ValueError(f"trials must be between 1 and 2^53, got {trials}")
     _reachable_law(K)  # first, so that the arrays below add nothing to its peak at large K
     rng = np.random.default_rng(seed)
-    powers = np.arange(K + 1.0) ** np.array([[1], [2]])  # rows s and s^2
-    counts = np.bincount([1], minlength=K + 1) * trials  # every trial starts at s = 1
+    s = _row_counts(K).astype(np.float64)
+    powers = np.stack((s, s * s))
+    counts = np.zeros(K // 2 + 1, dtype=np.int64)
+    counts[0] = trials  # every trial starts at s = 1
     sums = np.empty((max_steps + 1, 2))
     for tau in range(max_steps + 1):
         counts = _step(K, counts, rng) if tau else counts
-        sums[tau] = powers @ counts
+        np.dot(powers, counts, out=sums[tau])
     mean = sums[:, 0] / trials
     var = np.maximum(sums[:, 1] / trials - mean**2, 0.0)
     stderr = np.sqrt(var / trials)

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import math
 import os
 import re
@@ -281,6 +282,27 @@ def test_tfd_reports_the_fubini_distance(sign, tl, tr, tmp_path):
     else:  # weights p0, p1 of levels 0, 1 at beta 1
         p0, p1 = 1 / (1 + math.exp(-1)), math.exp(-1) / (1 + math.exp(-1))
         assert distance == pytest.approx(math.acos(abs(p0 + p1 * cmath.exp(-1j * (tl + tr)))), rel=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--spectrum", "-1,0"), ("--spectrum", "-1e3;2"), ("--spectrum", "-0.5"), ("--tl", "-1e3")])
+def test_a_value_that_starts_with_a_minus_sign_reaches_its_flag(flag, value, tmp_path, monkeypatch):
+    # argparse reads "-1,0" and "-1e3" as flags; after the flag, in
+    # --flag=value form and on a config line the value gives the same CSV
+    monkeypatch.setattr(sys, "argv", ["complexitylab", "tfd", flag, value, "--outdir", str(tmp_path / "a")])
+    assert main() == 0
+    assert main(["tfd", f"{flag}={value}", "--outdir", str(tmp_path / "b")]) == 0
+    (tmp_path / "value.cfg").write_text(f"{flag[2:]} = {value}\n")
+    assert main(["tfd", "--config", str(tmp_path / "value.cfg"), "--outdir", str(tmp_path / "c")]) == 0
+    csv = read(tmp_path / "a" / "tfd.csv")
+    assert csv == read(tmp_path / "b" / "tfd.csv") == read(tmp_path / "c" / "tfd.csv")
+
+
+@pytest.mark.parametrize("argv", [["--spectrum", "-1,x"], ["--tl", "-"], ["--sign", "-1"]])
+def test_a_minus_value_that_is_no_number_list_stays_a_usage_error(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["tfd", *argv, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wormhole_run(tmp_path):
@@ -752,6 +774,32 @@ def test_paper_suite_fails_on_a_biased_epidemic_law(tmp_path, monkeypatch):
     assert main(["paper-suite", "--outdir", str(tmp_path)]) == 1
     rows = read(tmp_path / "paper_suite.csv").decode().splitlines()
     assert rows[1].startswith("epidemic-logistic,FAIL,K=10 one-step law off the pairing tally by ")
+
+
+def test_paper_suite_fails_on_a_biased_epidemic_step(tmp_path, monkeypatch):
+    # the step draws from the law raised to the power 1.02 and renormalised,
+    # while the law itself, and so the pairing tally, stays exact; the
+    # exact chain over 10^8 trials must catch it
+    law, step = scrambling._reachable_law, scrambling._step
+
+    @functools.lru_cache(maxsize=None)
+    def biased_law(K):
+        probs, dests, widths = law(K)
+        q = probs**1.02
+        return q / q.sum(axis=1, keepdims=True), dests, widths
+
+    def biased_step(K, counts, rng):
+        with monkeypatch.context() as m:
+            m.setattr(scrambling, "_reachable_law", biased_law)
+            return step(K, counts, rng)
+
+    monkeypatch.setattr(scrambling, "_step", biased_step)
+    monkeypatch.setattr(acceptance, "CHECKS", [c for c in acceptance.CHECKS if c[0] == "epidemic-logistic"])
+    assert main(["paper-suite", "--outdir", str(tmp_path)]) == 1
+    rows = read(tmp_path / "paper_suite.csv").decode().splitlines()
+    assert re.fullmatch(
+        r"epidemic-logistic,FAIL,K=10 mean at tau=\d+ off the exact pairing chain by [+-]\d+\.\d standard errors", rows[1]
+    ), rows[1]
 
 
 class SignDroppedTable(CommutatorTable):

@@ -56,10 +56,15 @@ def test_one_step_exact_enumeration_k4():
     assert expected_step_increment(4, 1) == 1.0
 
 
+def row_counts(K):
+    """s at each row of the occupancy vector: 1 at row 0, then 2, 4, ..., K."""
+    return np.array([1] + list(range(2, K + 1, 2)))
+
+
 def occupancy(K, s, n):
     """The occupancy vector of n trials that all hold s infected qubits."""
-    counts = np.zeros(K + 1, dtype=np.int64)
-    counts[s] = n
+    counts = np.zeros(K // 2 + 1, dtype=np.int64)
+    counts[s // 2] = n
     return counts
 
 
@@ -67,7 +72,7 @@ def step_trials(K, s, n, rng):
     """One `_step` of n trials from s, as the sorted per-trial counts it leaves."""
     out = _step(K, occupancy(K, s, n), rng)
     assert out.sum() == n
-    return np.repeat(np.arange(K + 1), out)
+    return np.repeat(row_counts(K), out)
 
 
 def test_one_step_simulator_is_deterministic_at_s1_k4():
@@ -87,19 +92,12 @@ def test_one_step_increment_matches_formula(s):
     assert abs(inc.mean() - expected_step_increment(K, s)) < 3 * stderr
 
 
-@pytest.mark.parametrize("s", [0, 3, 5, 9])
-def test_step_rejects_counts_unreachable_from_s1(s):
-    counts = occupancy(10, 2, 100)
-    counts[s] = 100
-    with pytest.raises(ValueError, match="not all 1 or even"):
-        _step(10, counts, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("length", [8, 13])
+@pytest.mark.parametrize("length", [8, 11, 13])
 def test_step_rejects_an_occupancy_vector_of_the_wrong_length(length):
+    # 11 is the length of a vector over every count 0..K
     counts = np.zeros(length, dtype=np.int64)
     counts[2] = 100
-    with pytest.raises(ValueError, match=f"length {length}, not K \\+ 1 = 11"):
+    with pytest.raises(ValueError, match=f"length {length}, not K/2 \\+ 1 = 6"):
         _step(10, counts, np.random.default_rng(0))
 
 
@@ -264,8 +262,9 @@ def chain_moments(K, max_steps):
 @pytest.mark.parametrize("K", [4, 6, 8])
 def test_sampler_table_equals_pairing_enumeration(K):
     # the cached rows are the reachable counts, s = 1 and even s, s at row
-    # s // 2, zero-padded to the widest row with the last count repeated;
-    # one step from each lands on {2(s - m)} with the enumerated frequencies
+    # s // 2, zero-padded to the widest row with the last destination row
+    # repeated; one step from each lands on the rows {s - m}, the counts
+    # {2(s - m)}, with the enumerated frequencies
     probs, dests, widths = _reachable_law(K)
     reachable = [1] + list(range(2, K + 1, 2))
     assert len(probs) == len(dests) == len(widths) == len(reachable)
@@ -276,15 +275,15 @@ def test_sampler_table_equals_pairing_enumeration(K):
         assert count == odd_factorial(K - 1)
         ms = sorted(exact)
         r, w = s // 2, widths[s // 2]
-        assert dests[r, :w].tolist() == [2 * (s - m) for m in ms]
+        assert dests[r, :w].tolist() == [s - m for m in ms]
         assert np.all(dests[r, w:] == dests[r, w - 1])
         assert np.allclose(probs[r, :w], [float(exact[m]) for m in ms], rtol=0, atol=1e-12)
         assert np.all(probs[r, w:] == 0.0)
         out = _step(K, occupancy(K, s, n), np.random.default_rng([K, s]))
         assert out.sum() == n
-        assert set(np.flatnonzero(out).tolist()) == {2 * (s - m) for m in ms}
+        assert set(row_counts(K)[np.flatnonzero(out)].tolist()) == {2 * (s - m) for m in ms}
         if len(ms) > 1:
-            observed = [out[2 * (s - m)] for m in ms]
+            observed = [out[s - m] for m in ms]
             assert stats.chisquare(observed, [n * float(exact[m]) for m in ms]).pvalue > 1e-4
 
 
@@ -294,7 +293,7 @@ def test_law_mean_is_exact_increment(K):
     for s in [1] + list(range(2, K + 1, 2)):
         prob = probs[s // 2]
         assert prob.sum() == pytest.approx(1.0, abs=1e-12)
-        assert prob @ dests[s // 2] == pytest.approx(s + expected_step_increment(K, s), rel=1e-12)
+        assert prob @ (2 * dests[s // 2]) == pytest.approx(s + expected_step_increment(K, s), rel=1e-12)
 
 
 @pytest.mark.parametrize("K", [100, 1000])
@@ -312,7 +311,7 @@ def test_one_step_draws_chi_square(K, s):
     n = 200_000
     out = _step(K, occupancy(K, s, n), np.random.default_rng(K + s))
     ms = sorted(law)
-    observed = out[2 * (s - np.array(ms))]
+    observed = out[s - np.array(ms)]
     assert observed.sum() == out.sum() == n  # no draw outside the support
     expected = n * np.array([float(law[k]) for k in ms])
     # pool the bins expected to hold fewer than 5 draws into their neighbours
@@ -332,8 +331,8 @@ def test_sampler_matches_argsort_reference_k1000(s):
         [argsort_step_counts(K, np.full(4096, s, dtype=np.int64), np.random.default_rng([7, i])) for i in range(n // 4096)]
     )
     new = _step(K, occupancy(K, s, n), np.random.default_rng(7))
-    values = np.union1d(ref, np.flatnonzero(new))
-    table = np.array([[np.sum(ref == v) for v in values], new[values]])
+    values = np.union1d(ref, row_counts(K)[np.flatnonzero(new)])  # even counts, at rows values // 2
+    table = np.array([[np.sum(ref == v) for v in values], new[values // 2]])
     table = table[:, table.sum(axis=0) >= 10]
     assert stats.chi2_contingency(table).pvalue > 1e-4
 
@@ -419,7 +418,7 @@ def ragged_law(K):
     """The rows of `_reachable_law` cut to their widths and laid end to end:
     row r is p[starts[r]:starts[r+1]] and begins at m = m_lo[r]."""
     probs, _, widths = _reachable_law(K)
-    s = np.concatenate(([1], np.arange(2, K + 1, 2)))
+    s = row_counts(K)
     starts = np.concatenate(([0], np.cumsum(widths)))
     p = np.concatenate([probs[r, :w] for r, w in enumerate(widths.tolist())])
     return starts, np.maximum(0, s - K // 2), p
@@ -428,9 +427,8 @@ def ragged_law(K):
 def reference_step(K, counts, rng):
     """One step over the ragged law rows, padded afresh each step: the
     flat indices of every occupied row are cut at the row's last entry,
-    the cut cells get probability 0 and the count of the last m."""
-    occupied = np.flatnonzero(counts)
-    r = occupied >> 1
+    the cut cells get probability 0 and the row of the last m."""
+    r = np.flatnonzero(counts)
     starts, m_lo, p = ragged_law(K)
     first, last = starts[r], starts[r + 1] - 1
     flat = first[:, None] + np.arange((last - first).max() + 1)
@@ -438,9 +436,9 @@ def reference_step(K, counts, rng):
     np.minimum(flat, last[:, None], out=flat)
     pvals = p[flat]
     pvals[pad] = 0.0
-    draws = rng.multinomial(counts[occupied], pvals)
-    new = (2 * (occupied - m_lo[r] + first))[:, None] - 2 * flat  # 2(s - m)
-    return np.bincount(new.ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
+    draws = rng.multinomial(counts[r], pvals)
+    new = (row_counts(K)[r] - m_lo[r] + first)[:, None] - flat  # the row s - m
+    return np.bincount(new.ravel(), weights=draws.ravel(), minlength=K // 2 + 1).astype(np.int64)
 
 
 @pytest.mark.parametrize("K, trials", [(2, 50), (4, 500), (10, 100_000), (100, 5000), (1000, 4096)])
@@ -468,3 +466,53 @@ def test_scramble_csv_is_the_same_with_the_reference_step(tmp_path, monkeypatch)
     assert main(["scramble", "--outdir", str(tmp_path / "ref")]) == 0
     assert calls == [10] * 12
     assert (tmp_path / "new" / "scramble.csv").read_bytes() == (tmp_path / "ref" / "scramble.csv").read_bytes()
+
+
+# --- the simulator over every count 0..K that the row vector replaced, as its oracle
+
+
+def s_occupancy_step(K, counts, rng):
+    """One step of counts[s] trials at each s = 0..K: the law's row of s is
+    s // 2, and its cells lead to the counts 2 * dests."""
+    if len(counts) != K + 1:
+        raise ValueError(f"counts has length {len(counts)}, not K + 1 = {K + 1}")
+    occupied = np.flatnonzero(counts)
+    if occupied[0] == 0 or np.count_nonzero(occupied & 1) > (occupied[0] == 1):  # 0 or an odd s > 1
+        raise ValueError(f"occupied counts {occupied.tolist()} are not all 1 or even and >= 2")
+    r = occupied >> 1
+    probs, dests, widths = _reachable_law(K)
+    w = widths[r].max()
+    draws = rng.multinomial(counts[occupied], probs[r, :w])
+    return np.bincount(2 * dests[r, :w].ravel(), weights=draws.ravel(), minlength=K + 1).astype(np.int64)
+
+
+def s_occupancy_epidemic(K, max_steps, trials, seed):
+    """Mean and standard error of s per step, the trials held over every count 0..K."""
+    rng = np.random.default_rng(seed)
+    powers = np.arange(K + 1.0) ** np.array([[1], [2]])  # rows s and s^2
+    counts = np.bincount([1], minlength=K + 1) * trials  # every trial starts at s = 1
+    sums = np.empty((max_steps + 1, 2))
+    for tau in range(max_steps + 1):
+        counts = s_occupancy_step(K, counts, rng) if tau else counts
+        sums[tau] = powers @ counts
+    mean = sums[:, 0] / trials
+    var = np.maximum(sums[:, 1] / trials - mean**2, 0.0)
+    return mean, np.sqrt(var / trials)
+
+
+@pytest.mark.parametrize(
+    "K, steps, trials",
+    [
+        (2, 3, 1), (2, 30, 200), (4, 30, 1), (4, 12, 2**40), (6, 8, 5000), (6, 30, 7),
+        (10, 12, 10**5), (10, 24, 2000), (10, 30, 2**40), (12, 30, 10**8), (12, 30, 2**40),
+        (1000, 14, 4096), (1000, 30, 1), (1000, 20, 2**33),
+    ],
+)
+def test_rows_give_the_trajectories_of_the_count_vector(K, steps, trials):
+    # byte-equal within trials * K^2 < 2^53, where the sums of s and s^2 are exact
+    assert trials * K**2 < 2**53
+    for seed in range(3):
+        traj = simulate_epidemic(K, steps, trials, seed)
+        mean, stderr = s_occupancy_epidemic(K, steps, trials, seed)
+        assert traj.mean_infected.tobytes() == mean.tobytes()
+        assert traj.std_error.tobytes() == stderr.tobytes()
