@@ -1,9 +1,9 @@
 """Command-line driver: one subcommand per experiment.
 
 Each handler returns ``(header, rows, summary)``; ``main`` writes them as
-``<name>.csv`` and ``<name>_summary.txt`` (``key: value`` lines of seed,
-summary and wall time, also printed).  Identical (flags, seed) give identical
-CSV bytes: floats are printed with 17 significant digits, lines end in newlines.
+``<name>.csv`` and ``<name>_summary.txt`` (``key: value`` lines of command,
+summary and wall time, also printed).  Identical flags give identical CSV
+bytes: floats are printed with 17 significant digits, lines end in newlines.
 
 ``--config FILE`` reads simple ``key=value`` lines (one per line, ``#``
 comments allowed).  Each option's value comes from, in this order, its
@@ -141,6 +141,7 @@ def cmd_scramble(opts) -> Result:
     ]
     gap = max(abs(r[1] - r[3]) / K for r in rows)
     return ["tau", "mc_mean", "mc_stderr", "logistic", "precursor"], rows, {
+        "seed": opts.seed,
         "qubits": K,
         "trials": opts.trials,
         "scrambling_time": scrambling.scrambling_time(K),
@@ -161,7 +162,8 @@ def cmd_bfs(opts) -> Result:
     gs = _build_gateset(opts)
     target = _read_target_matrix(opts.target, gs.dim) if opts.target else None
     ball = sphere_growth(gs, opts.max_depth, BFS_MAX_ELEMENTS)
-    summary = {
+    summary = {"seed": opts.seed} if opts.gateset == "random" else {}
+    summary |= {
         "gateset": opts.gateset,
         "gates": len(gs.gates),
         "reached": ball.size,
@@ -180,6 +182,7 @@ def cmd_curvature(opts) -> Result:
     result = curvature_ensemble(opts.qubits, schedule, opts.trials, opts.seed)
     rows = [(opts.qubits, result.mean, result.stderr, result.trace_ratio_mean)]
     return ["K", "mean_R", "stderr", "trace_ratio"], rows, {
+        "seed": opts.seed,
         "qubits": opts.qubits,
         "penalty_c": opts.penalty_c,
         "trials": opts.trials,
@@ -243,9 +246,7 @@ def cmd_wormhole(opts) -> Result:
     if opts.eta_min >= opts.eta_max:
         _usage_error(f"--eta-min {opts.eta_min} must be below --eta-max {opts.eta_max}")
     spec = _black_hole_from(opts)
-    points = holography.volume_curve(
-        spec, eta_max=opts.eta_max, eta_min=opts.eta_min, points=opts.egrid_points
-    )
+    points = holography.volume_curve(spec, opts.eta_max, opts.eta_min, opts.egrid_points)
     rows = [
         (p.E, p.r_turn, spec.omega * p.interior_volume_per_sphere, p.boundary_time_sum)
         for p in points
@@ -384,11 +385,9 @@ def _black_hole_options(mu: float) -> tuple[Option, ...]:
     )
 
 
+_SEED = Option("--seed", nonnegative_int, 1729, "RNG seed")  # of the commands that draw; fixed, so CSVs reproduce
 # Settable by flag or config line, after every command's own options.
-_COMMON = (
-    Option("--seed", nonnegative_int, 1729, "RNG seed"),  # fixed so default runs reproduce byte-identical CSV
-    Option("--outdir", str, ".", f"output directory, ${OUTDIR_ENV} if set"),
-)
+_COMMON = (Option("--outdir", str, ".", f"output directory, ${OUTDIR_ENV} if set"),)
 _CONFIG = Option("--config", str, None, "key=value file merged under the flags")
 
 COMMANDS = {
@@ -404,6 +403,7 @@ COMMANDS = {
             Option("--qubits", even_count_to_20000, 10, "even qubit count 2 <= K <= 20000"),
             Option("--max-steps", nonnegative_int, 12, "circuit depth to simulate"),
             Option("--trials", positive_int_to_2_53, 20000, "Monte-Carlo trials, at most 2^53"),
+            _SEED,
         ),
     ),
     "bfs": Command(
@@ -418,6 +418,7 @@ COMMANDS = {
             Option("--epsilon", resolution, 1e-6, f"dedup resolution >= {MIN_EPSILON:g}"),
             Option("--pairs", positive_int, 4, "Haar gate pairs for --gateset random"),
             Option("--target", str, None, "CSV file of the target matrix, rows of re,im pairs"),
+            _SEED,
         ),
     ),
     "curvature": Command(
@@ -430,6 +431,7 @@ COMMANDS = {
             Option("--penalty-c", positive, 1.0, "penalty prefactor c"),
             Option("--penalty-k", positive_int, 2, "locality threshold k"),
             Option("--trials", positive_int, 100, "ensemble size"),
+            _SEED,
         ),
     ),
     "counting": Command(
@@ -543,12 +545,16 @@ def _load_config(path: str, command: str) -> dict[str, object]:
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     """``argv`` with a value that starts with '-' and reads as a number list
-    joined to the flag before it: argparse takes ``-1,0`` or ``-1e3`` for a
-    flag, so ``--spectrum -1,0`` becomes ``--spectrum=-1,0``."""
-    flags = {opt.flag for cmd in COMMANDS.values() for opt in cmd.options + _COMMON + (_CONFIG,)}
+    joined to the ``--flag`` before it, full or abbreviated, but not to
+    ``--help`` nor after ``--``: argparse takes ``-1,0`` or ``-1e3`` for a
+    flag, so ``--spec -1,0`` becomes ``--spec=-1,0``."""
     out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in flags and tok.startswith("-") and _is_number_list(tok):
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            return out + argv[i:]
+        flag = out[-1] if out else ""
+        takes_value = flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+        if takes_value and tok.startswith("-") and _is_number_list(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -576,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     name = args.command.replace("-", "_")
     write_csv(os.path.join(args.outdir, f"{name}.csv"), header, rows)
-    entries = {"command": args.command, "seed": args.seed, **summary}
+    entries = {"command": args.command, **summary}
     entries["wall_time_s"] = f"{time.perf_counter() - start:.3f}"
     text = "".join(f"{key}: {_fmt(value)}\n" for key, value in entries.items())
     with open(os.path.join(args.outdir, f"{name}_summary.txt"), "w", newline="") as fh:

@@ -132,12 +132,11 @@ def sample_orthogonal_pair(K: int, seed: int, draw: int = 0) -> tuple[KLocalHami
 @dataclass(frozen=True)
 class CurvatureEnsemble:
     """Ensemble mean of the sectional curvature and of the raw trace ratio;
-    their standard errors are nan for a single trial."""
+    the curvature's standard error is nan for a single trial."""
 
     mean: float
     stderr: float
     trace_ratio_mean: float
-    trace_ratio_stderr: float
 
 
 def curvature_ensemble(
@@ -166,17 +165,13 @@ def curvature_ensemble(
     for i in range(trials):
         ratios[i] = _trace_ratio(table, *_orthogonal_couplings(K, table.shape[0], seed, i))
 
-    def stderr(x: np.ndarray) -> float:
-        # one sample cannot bound its error
-        return float(x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan
-
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, not warned about
         curvatures = prefactor * ratios
         result = CurvatureEnsemble(
             mean=float(curvatures.mean()),
-            stderr=stderr(curvatures),
+            # one sample cannot bound its error
+            stderr=float(curvatures.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.nan,
             trace_ratio_mean=float(ratios.mean()),
-            trace_ratio_stderr=stderr(ratios),
         )
     if not math.isfinite(result.mean) or (trials > 1 and not math.isfinite(result.stderr)):
         raise OverflowError(

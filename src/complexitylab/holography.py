@@ -398,12 +398,7 @@ def interior_volume(spec: BlackHoleSpec, E: float) -> VolumeCurvePoint:
     return VolumeCurvePoint(E, r_turn, volume, 2.0 * t_r)
 
 
-def volume_curve(
-    spec: BlackHoleSpec,
-    eta_max: float = 1e-1,
-    eta_min: float = 1e-5,
-    points: int = 16,
-) -> list[VolumeCurvePoint]:
+def volume_curve(spec: BlackHoleSpec, eta_max: float, eta_min: float, points: int) -> list[VolumeCurvePoint]:
     """Slices on a geometric grid E = E_c (1 - eta) approaching criticality.
     A slice's ValueError is re-raised with that slice's eta and E."""
     if points < 2:

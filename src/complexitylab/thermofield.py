@@ -151,10 +151,11 @@ def evolve_tfd(state: TFDState, t_l: float, t_r: float, sign: str = "minus") -> 
     return _diagonal_state(state.amplitudes * phases)
 
 
-def two_sided_correlator(state, O_L: np.ndarray, O_R: np.ndarray, dims=None) -> complex:
-    """<state| O_L (x) O_R |state> without building the Kronecker product."""
-    psi = state.vector() if isinstance(state, TFDState) else np.asarray(state, dtype=complex)
-    dl, dr = _product_dims(psi.size, dims)
+def two_sided_correlator(psi: np.ndarray, O_L: np.ndarray, O_R: np.ndarray) -> complex:
+    """<psi| O_L (x) O_R |psi> for a state vector on a square product space,
+    without building the Kronecker product."""
+    psi = np.asarray(psi, dtype=complex)
+    dl, dr = _product_dims(psi.size, None)
     O_L = np.asarray(O_L, dtype=complex)
     O_R = np.asarray(O_R, dtype=complex)
     if O_L.shape != (dl, dl) or O_R.shape != (dr, dr):

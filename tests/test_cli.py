@@ -1,3 +1,4 @@
+import argparse
 import ast
 import cmath
 import functools
@@ -12,7 +13,17 @@ import numpy as np
 import pytest
 
 from complexitylab import acceptance, cli, gates, geometry, holography, scrambling
-from complexitylab.cli import _COMMON, _CONFIG, COMMANDS, OUTDIR_ENV, _load_config, build_parser, main
+from complexitylab.cli import (
+    _COMMON,
+    _CONFIG,
+    _SEED,
+    COMMANDS,
+    OUTDIR_ENV,
+    _join_negative_values,
+    _load_config,
+    build_parser,
+    main,
+)
 from complexitylab.paulis import CommutatorTable
 
 
@@ -54,7 +65,7 @@ def test_wdw_default_run(tmp_path, capsys):
     csv = read(tmp_path / "wdw.csv").decode()
     assert csv.splitlines()[0] == "d,mu,M,bulk_rate,boundary_rate,total_rate,lloyd_saturation"
     summary = read(tmp_path / "wdw_summary.txt").decode()
-    assert "seed: 1729" in summary
+    assert "seed:" not in summary  # wdw draws nothing
     assert "wall_time_s:" in summary
 
 
@@ -284,14 +295,17 @@ def test_tfd_reports_the_fubini_distance(sign, tl, tr, tmp_path):
         assert distance == pytest.approx(math.acos(abs(p0 + p1 * cmath.exp(-1j * (tl + tr)))), rel=1e-12)
 
 
-@pytest.mark.parametrize("flag, value", [("--spectrum", "-1,0"), ("--spectrum", "-1e3;2"), ("--spectrum", "-0.5"), ("--tl", "-1e3")])
+@pytest.mark.parametrize(
+    "flag, value", [("--spectrum", "-1,0"), ("--spectrum", "-1e3;2"), ("--spectrum", "-0.5"), ("--tl", "-1e3"), ("--spec", "-1,0")]
+)
 def test_a_value_that_starts_with_a_minus_sign_reaches_its_flag(flag, value, tmp_path, monkeypatch):
     # argparse reads "-1,0" and "-1e3" as flags; after the flag, in
     # --flag=value form and on a config line the value gives the same CSV
     monkeypatch.setattr(sys, "argv", ["complexitylab", "tfd", flag, value, "--outdir", str(tmp_path / "a")])
     assert main() == 0
     assert main(["tfd", f"{flag}={value}", "--outdir", str(tmp_path / "b")]) == 0
-    (tmp_path / "value.cfg").write_text(f"{flag[2:]} = {value}\n")
+    key = next(opt.flag[2:] for opt in COMMANDS["tfd"].options if opt.flag.startswith(flag))  # config keys take no abbreviations
+    (tmp_path / "value.cfg").write_text(f"{key} = {value}\n")
     assert main(["tfd", "--config", str(tmp_path / "value.cfg"), "--outdir", str(tmp_path / "c")]) == 0
     csv = read(tmp_path / "a" / "tfd.csv")
     assert csv == read(tmp_path / "b" / "tfd.csv") == read(tmp_path / "c" / "tfd.csv")
@@ -301,6 +315,28 @@ def test_a_value_that_starts_with_a_minus_sign_reaches_its_flag(flag, value, tmp
 def test_a_minus_value_that_is_no_number_list_stays_a_usage_error(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["tfd", *argv, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["tfd", "--spec", "-1,0"], ["tfd", "--spec=-1,0"]),
+        (["tfd", "--t", "-1"], ["tfd", "--t=-1"]),  # argparse then refuses the ambiguous prefix
+        (["tfd", "--tl=1", "-1"], ["tfd", "--tl=1", "-1"]),
+        (["tfd", "--help", "-1"], ["tfd", "--help", "-1"]),  # --help takes no value
+        (["tfd", "--he", "-1"], ["tfd", "--he", "-1"]),
+        (["tfd", "--", "--tl", "-1"], ["tfd", "--", "--tl", "-1"]),  # -- ends the flags
+    ],
+)
+def test_a_minus_value_is_joined_to_the_flag_before_it_only(argv, joined):
+    assert _join_negative_values(argv) == joined
+
+
+def test_an_ambiguous_prefix_with_a_minus_value_stays_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["tfd", "--t", "-1", "--outdir", str(tmp_path)])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -873,3 +909,67 @@ def test_config_line_and_flag_merge_to_the_same_namespace(command, tmp_path, mon
         assert from_flag.pop("config") is None
         assert from_config == from_flag
         assert from_flag[opt.flag[2:].replace("-", "_")] not in (None, opt.default)
+
+
+@pytest.mark.parametrize("command", [name for name, cmd in COMMANDS.items() if _SEED not in cmd.options])
+def test_a_command_that_draws_nothing_refuses_a_seed(command, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1", "--outdir", str(out)])
+    assert exc.value.code == 2
+    (tmp_path / "c.cfg").write_text("seed=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "c.cfg"), "--outdir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (["scramble", "--qubits", "4", "--max-steps", "2", "--trials", "10"], True),
+        (["curvature", "--qubits", "4", "--trials", "2"], True),
+        (["bfs", "--gateset", "random", "--max-depth", "1"], True),
+        (["bfs", "--gateset", "cnot", "--max-depth", "1"], False),  # draws nothing
+    ],
+)
+def test_a_run_that_draws_echoes_its_seed_second(argv, echoed, tmp_path):
+    assert main([*argv, "--seed", "5", "--outdir", str(tmp_path)]) == 0
+    lines = read(tmp_path / f"{argv[0]}_summary.txt").decode().splitlines()
+    assert [line for line in lines if line.startswith("seed:")] == (["seed: 5"] if echoed else [])
+    assert (lines[1] == "seed: 5") == echoed
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that adds the name of every attribute read from it to ``reads``."""
+
+    reads: set[str] = set()
+
+    def __getattribute__(self, name):
+        ReadRecorder.reads.add(name)
+        return super().__getattribute__(name)
+
+
+# small runs that, taken together, reach every branch that reads an option; other commands run at their defaults
+SMALL_RUNS = {
+    "scramble": [["--qubits", "4", "--max-steps", "2", "--trials", "10"]],
+    "bfs": [["--max-depth", "1"], ["--gateset", "random", "--max-depth", "1"]],
+    "curvature": [["--qubits", "4", "--trials", "2"]],
+    "wormhole": [["--egrid-points", "2"], ["--mass", "2", "--egrid-points", "2"]],
+    "wdw": [[], ["--mass", "2"]],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_option_is_read_by_its_commands_run(command, monkeypatch):
+    # main reads --outdir (and --config); a handler should read every other option it takes
+    monkeypatch.setattr(acceptance, "CHECKS", [])
+    cmd = COMMANDS[command]
+    read_by_runs = set()
+    for argv in SMALL_RUNS.get(command, [[]]):
+        opts = build_parser().parse_args([command, *argv], namespace=ReadRecorder())
+        ReadRecorder.reads.clear()
+        cmd.handler(opts)
+        read_by_runs |= ReadRecorder.reads
+    taken = {opt.flag[2:].replace("-", "_") for opt in cmd.options + _COMMON} - {"outdir"}
+    assert taken <= read_by_runs, f"{command} takes options that no run reads: {sorted(taken - read_by_runs)}"

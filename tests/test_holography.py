@@ -187,7 +187,7 @@ def test_volume_curve_is_its_slices_at_python_float_energies():
 @pytest.mark.parametrize("eta_min, eta_max", [(0.2, 0.1), (1e-3, 1e-3), (0.0, 0.1), (1e-5, 1.5)])
 def test_volume_curve_rejects_a_bad_eta_range(eta_min, eta_max):
     with pytest.raises(ValueError, match="eta_min < eta_max"):
-        volume_curve(BlackHoleSpec(d=4, mu=100.0), eta_max=eta_max, eta_min=eta_min)
+        volume_curve(BlackHoleSpec(d=4, mu=100.0), eta_max=eta_max, eta_min=eta_min, points=16)
 
 
 def test_interior_volume_monotone_and_divergent():

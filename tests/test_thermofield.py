@@ -198,17 +198,17 @@ def test_evolve_tfd_rejects_bad_sign():
 
 def test_two_sided_correlator_bell():
     state = tfd([1.0, -1.0], beta=0.0)  # energy basis = z basis
-    value = two_sided_correlator(state, SZ, SZ)
+    psi = state.vector()
+    value = two_sided_correlator(psi, SZ, SZ)
     assert value == pytest.approx(1.0)
     # oracle: direct contraction with the explicit Kronecker product
-    psi = state.vector()
     assert value == pytest.approx(np.vdot(psi, np.kron(SZ, SZ) @ psi))
 
 
 def test_two_sided_correlator_product_state():
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0  # |0>|0>
-    assert two_sided_correlator(psi, SX, SX, dims=(2, 2)) == pytest.approx(0.0)
+    assert two_sided_correlator(psi, SX, SX) == pytest.approx(0.0)
 
 
 def test_two_sided_correlator_ground_state_factorizes():
@@ -217,14 +217,14 @@ def test_two_sided_correlator_ground_state_factorizes():
     rng = np.random.default_rng(6)
     O = rng.normal(size=(3, 3))
     O = (O + O.T) / 2
-    value = two_sided_correlator(state, O, O)
+    value = two_sided_correlator(state.vector(), O, O)
     assert value == pytest.approx(O[0, 0] * O[0, 0])
 
 
 def test_two_sided_correlator_shape_check():
     state = tfd([0.0, 1.0], beta=1.0)
     with pytest.raises(ValueError):
-        two_sided_correlator(state, np.eye(3), np.eye(2))
+        two_sided_correlator(state.vector(), np.eye(3), np.eye(2))
 
 
 def test_fubini_distances():
